@@ -1,22 +1,21 @@
 #include "syneval/fault/chaos.h"
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "syneval/anomaly/detector.h"
 #include "syneval/fault/injector.h"
 #include "syneval/telemetry/flight_recorder.h"
+#include "syneval/telemetry/metrics.h"
 #include "syneval/telemetry/postmortem.h"
 #include "syneval/problems/oracles.h"
 #include "syneval/problems/virtual_disk.h"
 #include "syneval/problems/workloads.h"
+#include "syneval/runtime/checkpoint.h"
 #include "syneval/runtime/det_runtime.h"
 #include "syneval/solutions/ccr_solutions.h"
 #include "syneval/solutions/monitor_solutions.h"
@@ -294,121 +293,48 @@ struct ChaosSuiteBuilder {
 
 namespace chaos_internal {
 
-ChaosTrial MakeSupervisedChaosTrial(ChaosTrial inner, const SupervisorOptions& sup,
+ChaosTrial MakeSupervisedChaosTrial(ChaosTrial inner, const SupervisorOptions& options,
                                     std::shared_ptr<SupervisedRowState> state) {
-  return [inner = std::move(inner), sup, state = std::move(state)](
+  SupervisorOptions in_process = options;
+  in_process.sandbox = false;  // The outcome comes back through a capture.
+  return [inner = std::move(inner), options = in_process, state = std::move(state)](
              std::uint64_t seed, const FaultPlan* plan) -> ChaosTrialOutcome {
+    ChaosTrialOutcome out;
     {
       std::lock_guard<std::mutex> lock(state->mu);
-      if (state->quarantined) {
-        ChaosTrialOutcome skipped;
-        skipped.skipped = true;
-        return skipped;
+      if (state->quarantine.quarantined) {
+        out.skipped = true;
+        return out;
       }
     }
-    const int max_attempts = sup.max_attempts < 1 ? 1 : sup.max_attempts;
-    ChaosTrialOutcome out;
-    std::string failure;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (attempt > 1) {
-        {
-          std::lock_guard<std::mutex> lock(state->mu);
-          ++state->stats.retried;
-        }
-        std::this_thread::sleep_for(sup.retry_backoff * (1 << (attempt - 2)));
-      }
-      out = ChaosTrialOutcome();
-      failure.clear();
-      bool crashed = false;
-      std::string crash_what;
-      TrialAbortSlot slot;
-      const TrialReapResult reap = RunWithTrialDeadline(slot, sup.trial_deadline, [&] {
-        try {
-          out = inner(seed, plan);
-        } catch (const std::exception& error) {
-          crashed = true;
-          crash_what = error.what();
-        } catch (...) {
-          crashed = true;
-          crash_what = "unknown exception";
-        }
-      });
-      if (crashed) {
-        // Synthesize what the unsupervised sweep's catch block would have folded, so
-        // the row's denominators stay in step even on the retry-exhausted path.
-        out = ChaosTrialOutcome();
-        out.hung = true;
-        out.report = "trial aborted: " + crash_what;
-        failure = "crashed: " + crash_what;
-        std::lock_guard<std::mutex> lock(state->mu);
-        ++state->stats.crashed;
-      } else if (reap.reaped) {
-        // The reaped trial still returned through DetRuntime's abort path, so `out`
-        // carries its injector counts, step count, and diagnosis. Supplement the
-        // postmortem with the reaper's pre-abort harvest when the trial had none.
-        if (out.postmortem.empty() && !reap.observation.text.empty()) {
-          out.postmortem_cause = reap.observation.cause;
-          out.postmortem = reap.observation.text;
-        }
-        failure = "reaped: trial exceeded its wall-clock deadline";
-        std::lock_guard<std::mutex> lock(state->mu);
-        ++state->stats.reaped;
-      } else {
-        return out;  // Healthy (or legitimately failing) attempt: a result, not a
-                     // malfunction — never retried.
-      }
+    SupervisorStats attempts;
+    const SupervisedTrialResult result = RunSupervisedSeed(
+        [&](std::uint64_t s) {
+          out = ChaosTrialOutcome();
+          out.hung = true;  // What an attempt that never returns folds as.
+          out = inner(s, plan);
+          TrialReport report;
+          report.postmortem_cause = out.postmortem_cause;
+          report.postmortem = out.postmortem;
+          return report;
+        },
+        seed, options, &attempts);
+    if (result.crashed) {
+      // What the unsupervised sweep's catch block would have folded, so the row's
+      // denominators stay in step even on the retry-exhausted path.
+      out.report = "trial aborted: " + result.crash.what;
+    } else if (result.reaped) {
+      // The trial's own postmortem, or the reaper's pre-abort harvest when it had none.
+      out.postmortem_cause = result.report.postmortem_cause;
+      out.postmortem = result.report.postmortem;
     }
-    // Catastrophic after every attempt: fold the last attempt's outcome anyway (a
-    // reaped genuine hang still counts toward recall) and move the row toward
-    // quarantine.
     std::lock_guard<std::mutex> lock(state->mu);
-    ++state->catastrophic_seeds;
-    if (!out.postmortem.empty()) {
-      state->last_postmortem_cause = out.postmortem_cause;
-      state->last_postmortem = out.postmortem;
-    }
-    if (!state->quarantined && state->catastrophic_seeds >= sup.quarantine_after) {
-      state->quarantined = true;
-      ++state->stats.quarantined;
-      state->quarantine_reason = std::to_string(state->catastrophic_seeds) +
-                                 " catastrophic seed(s) (last: " + failure + ")";
-    }
+    state->quarantine.Record(result, attempts, options.quarantine_after);
     return out;
   };
 }
 
 }  // namespace chaos_internal
-
-namespace {
-
-// Minimal JSON string escaping for the calibration quarantine file (mirrors the
-// supervisor's; the fault layer sits below syneval_core, so it cannot reuse the
-// scorecard helpers).
-std::string QuarantineJsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<ChaosCase> BuildChaosSuite(int workload_scale) {
   ChaosSuiteBuilder b;
@@ -506,18 +432,18 @@ std::string ChaosCalibrationTable::QuarantineJson() const {
     out << (first ? "\n" : ",\n");
     first = false;
     out << "    {\"id\": \""
-        << QuarantineJsonEscape(row.problem + "/" + row.display + "/" + row.fault)
+        << JsonEscape(row.problem + "/" + row.display + "/" + row.fault)
         << "\", \"quarantined\": " << (row.quarantined ? "true" : "false")
         << ", \"completed_seeds\": " << row.outcome.runs
         << ", \"skipped_seeds\": " << row.outcome.skipped
         << ", \"harmful\": " << row.outcome.harmful
         << ", \"detected_harmful\": " << row.outcome.detected_harmful;
     if (row.quarantined) {
-      out << ", \"reason\": \"" << QuarantineJsonEscape(row.quarantine_reason) << "\"";
+      out << ", \"reason\": \"" << JsonEscape(row.quarantine_reason) << "\"";
     }
     if (!row.last_postmortem_cause.empty() || !row.last_postmortem.empty()) {
-      out << ", \"postmortem_cause\": \"" << QuarantineJsonEscape(row.last_postmortem_cause)
-          << "\", \"postmortem\": \"" << QuarantineJsonEscape(row.last_postmortem) << "\"";
+      out << ", \"postmortem_cause\": \"" << JsonEscape(row.last_postmortem_cause)
+          << "\", \"postmortem\": \"" << JsonEscape(row.last_postmortem) << "\"";
     }
     out << "}";
   }
@@ -526,23 +452,7 @@ std::string ChaosCalibrationTable::QuarantineJson() const {
 }
 
 bool ChaosCalibrationTable::WriteQuarantineFile(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << QuarantineJson();
-    out.flush();
-    if (!out) {
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return WriteFileAtomically(path, QuarantineJson());
 }
 
 ChaosCalibrationTable RunChaosCalibration(int seeds_per_case, std::uint64_t base_seed,
@@ -583,11 +493,12 @@ ChaosCalibrationTable RunChaosCalibration(int seeds_per_case, std::uint64_t base
       row.outcome = std::move(sweep.outcome);
       if (row_state != nullptr) {
         std::lock_guard<std::mutex> lock(row_state->mu);
-        row.quarantined = row_state->quarantined;
-        row.quarantine_reason = row_state->quarantine_reason;
-        row.last_postmortem_cause = row_state->last_postmortem_cause;
-        row.last_postmortem = row_state->last_postmortem;
-        table.supervisor += row_state->stats;
+        const CellQuarantine& verdict = row_state->quarantine;
+        row.quarantined = verdict.quarantined;
+        row.quarantine_reason = verdict.quarantine_reason;
+        row.last_postmortem_cause = verdict.last_postmortem_cause;
+        row.last_postmortem = verdict.last_postmortem;
+        table.supervisor += verdict.stats;
       }
       table.jobs = sweep.jobs;
       MergeWorkerTelemetry(table.workers, sweep.workers);

@@ -78,11 +78,12 @@ struct ChaosFaultFamily {
 
 std::vector<ChaosFaultFamily> CalibrationFaultFamilies();
 
-// Supervision policy for RunChaosCalibration (see runtime/supervisor.h). Disabled by
-// default; when enabled, every trial of every row runs under a wall-clock deadline
-// with a reaper (DetRuntime::RequestAbort through the TrialAbortSlot seam),
-// catastrophic attempts — reaped or crashed — retry with exponential backoff, and a
-// row that keeps dying is quarantined: its remaining seeds are skipped (counted in
+// Supervision policy for RunChaosCalibration: the supervisor's one retry loop and
+// quarantine counter (runtime/supervisor.h) applied to every row. Disabled by default;
+// when enabled, every trial of every row runs under a wall-clock deadline with a
+// reaper (DetRuntime::RequestAbort through the TrialAbortSlot seam), catastrophic
+// attempts — reaped or crashed — retry with exponential backoff, and a row that keeps
+// dying is quarantined: its remaining seeds are skipped (counted in
 // ChaosSweepOutcome::skipped), its folded seeds are kept, and the row carries the
 // last harvested postmortem. With no catastrophic seeds the supervised table is
 // field-by-field identical to the unsupervised one at any worker count — the seam
@@ -168,29 +169,28 @@ std::optional<ChaosReplayResult> ReplayChaosTrial(const std::string& problem,
                                                   std::uint64_t base_seed = 1,
                                                   int workload_scale = 1);
 
-// Implementation seam, exposed so tests can drive the supervision wrapper against
+// Implementation seam, exposed so tests can drive the supervision adapter against
 // synthetic trials (hanging, crashing) that the real calibration suite deliberately
 // does not contain.
 namespace chaos_internal {
 
-// Shared per-row supervision state. Workers of the row's sweep pool update it
-// concurrently; a single mutex guards everything (catastrophic seeds are the rare
-// path, so contention is negligible).
+// One row's supervision verdict. The workers of the row's sweep pool record into it
+// concurrently, under `mu` (catastrophic seeds are the rare path, so contention is
+// negligible).
 struct SupervisedRowState {
   std::mutex mu;
-  bool quarantined = false;
-  int catastrophic_seeds = 0;
-  std::string quarantine_reason;
-  std::string last_postmortem_cause;
-  std::string last_postmortem;
-  SupervisorStats stats;
+  CellQuarantine quarantine;
 };
 
-// Wraps one row's trial in the supervision policy: quarantine short-circuit, per-
-// attempt deadline/reaper through the TrialAbortSlot seam, catastrophic-only retry
-// with exponential backoff. A healthy trial takes exactly one pass through the inner
-// callback and returns its outcome untouched — bit-identity for healthy cells is
-// structural, not a property of the policy parameters.
+// Adapts one row's trial to the supervisor (runtime/supervisor.h): once the row is
+// quarantined a call returns `skipped` without running anything; otherwise the call
+// runs through RunSupervisedSeed in-process — the DetRuntime trial registers its
+// abort through TrialAbortScope — and its result is recorded in the row's
+// CellQuarantine. A call that crashed folds as hung; a reaped call keeps what
+// DetRuntime's abort path returned, plus the reaper's postmortem when it had none. A
+// healthy trial takes exactly one pass through `inner` and its outcome is returned
+// untouched — bit-identity for healthy cells is structural, not a property of the
+// policy parameters.
 ChaosTrial MakeSupervisedChaosTrial(ChaosTrial inner, const SupervisorOptions& options,
                                     std::shared_ptr<SupervisedRowState> state);
 

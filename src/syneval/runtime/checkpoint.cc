@@ -365,6 +365,26 @@ std::string ChunkKey(std::string_view scope, std::string_view kind,
   return key;
 }
 
+bool WriteFileAtomically(const std::string& path, const std::string& contents) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) {
+      return false;
+    }
+    out << contents;
+    out.flush();
+    if (!out) {
+      return false;
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
 CheckpointStore::CheckpointStore(std::string path) : path_(std::move(path)) {}
 
 CheckpointStore::~CheckpointStore() {
@@ -482,23 +502,11 @@ bool CheckpointStore::Flush() {
 }
 
 bool CheckpointStore::CompactLocked() {
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << "syneval-checkpoint v1\n";
-    for (const auto& [key, payload] : entries_) {
-      out << CheckpointEscape(key) << '\t' << CheckpointEscape(payload) << '\n';
-    }
-    out.flush();
-    if (!out) {
-      return false;
-    }
+  std::string snapshot = "syneval-checkpoint v1\n";
+  for (const auto& [key, payload] : entries_) {
+    snapshot += CheckpointEscape(key) + '\t' + CheckpointEscape(payload) + '\n';
   }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  if (!WriteFileAtomically(path_, snapshot)) {
     return false;
   }
   // Only after the snapshot rename landed is the journal redundant. A crash between

@@ -78,6 +78,11 @@ std::string ChunkKey(std::string_view scope, std::string_view kind,
                      std::uint64_t base_seed, int num_seeds, int chunk_seeds,
                      int chunk_index);
 
+// Writes `contents` to "<path>.tmp" and renames it over `path`, so a reader sees the
+// old file or the new one, never a torn write. False on I/O failure. The store's
+// snapshots and both quarantine.json writers go through it.
+bool WriteFileAtomically(const std::string& path, const std::string& contents);
+
 // Thread-safe key→payload store with write-ahead-journal persistence and periodic
 // snapshot compaction. One store is typically shared by every sweep of a bench
 // invocation (each sweep contributing its own scope-disambiguated keys).

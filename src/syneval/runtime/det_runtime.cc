@@ -432,7 +432,18 @@ DetRuntime::DetRuntime(std::unique_ptr<Schedule> schedule, Options options)
 DetRuntime::~DetRuntime() {
   // If Run() was never called (or aborted early), tear down any parked threads.
   std::unique_lock<std::mutex> lock(mu_);
-  if (AnomalyDetector* det = anomaly_detector()) {
+  const auto all_finished = [&] {
+    for (auto& tcb : threads_) {
+      if (tcb->state != kFinished) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // Only a teardown has hook traffic to silence. After a finished Run() the detector
+  // is left alone: trials usually declare it after the runtime, so it is gone by now.
+  AnomalyDetector* det = anomaly_detector();
+  if (det != nullptr && !all_finished()) {
     det->SetAborting(true);
   }
   abort_ = true;
@@ -442,14 +453,7 @@ DetRuntime::~DetRuntime() {
     }
   }
   cv_.notify_all();
-  cv_.wait(lock, [&] {
-    for (auto& tcb : threads_) {
-      if (tcb->state != kFinished) {
-        return false;
-      }
-    }
-    return true;
-  });
+  cv_.wait(lock, all_finished);
   lock.unlock();
   for (auto& tcb : threads_) {
     if (tcb->os_thread.joinable()) {

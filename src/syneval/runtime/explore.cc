@@ -222,30 +222,6 @@ void MergeChaosOutcome(ChaosSweepOutcome& into, ChaosSweepOutcome&& chunk) {
 
 SweepOutcome SweepSchedules(int num_seeds,
                             const std::function<std::string(std::uint64_t)>& trial,
-                            std::uint64_t base_seed) {
-  return SweepSchedules(
-      num_seeds,
-      [&trial](std::uint64_t seed) {
-        TrialReport report;
-        report.message = trial(seed);
-        return report;
-      },
-      base_seed);
-}
-
-SweepOutcome SweepSchedules(int num_seeds,
-                            const std::function<TrialReport(std::uint64_t)>& trial,
-                            std::uint64_t base_seed) {
-  SweepOutcome outcome;
-  for (int i = 0; i < num_seeds; ++i) {
-    sweep_internal::AccumulateTrial(trial, base_seed + static_cast<std::uint64_t>(i),
-                                    outcome);
-  }
-  return outcome;
-}
-
-SweepOutcome SweepSchedules(int num_seeds,
-                            const std::function<std::string(std::uint64_t)>& trial,
                             std::uint64_t base_seed, const ParallelOptions& parallel) {
   return ParallelSweepSchedules(num_seeds, trial, base_seed, parallel).outcome;
 }
@@ -279,19 +255,6 @@ std::string ChaosSweepOutcome::Summary() const {
     os << "; skipped " << skipped << " (quarantine)";
   }
   return os.str();
-}
-
-ChaosSweepOutcome SweepChaos(
-    int num_seeds,
-    const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
-    const FaultPlan& plan, std::uint64_t base_seed) {
-  ChaosSweepOutcome outcome;
-  for (int i = 0; i < num_seeds; ++i) {
-    sweep_internal::AccumulateChaosTrial(trial, plan,
-                                         base_seed + static_cast<std::uint64_t>(i),
-                                         outcome);
-  }
-  return outcome;
 }
 
 ChaosSweepOutcome SweepChaos(

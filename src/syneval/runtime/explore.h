@@ -6,6 +6,11 @@
 // trial across seeds and reports how many schedules passed, failed, or deadlocked — with
 // the failing seeds preserved so any finding can be replayed exactly.
 //
+// The three sweep entry points here are thin front doors to the one sweep engine
+// (runtime/parallel_sweep.h). Its jobs == 1 path — the default — is the single serial
+// loop: seeds in order on the calling thread. Every other worker count is proven
+// bit-identical to it.
+//
 // Trials that attach an AnomalyDetector report a full TrialReport instead of a bare
 // message; the sweep then additionally aggregates per-anomaly counters (deadlocks, lost
 // wakeups, stuck waiters, starvations) and keeps the anomalous seeds for replay.
@@ -99,31 +104,46 @@ struct SweepOutcome {
   std::string PostmortemDump() const;
 };
 
-// Runs `trial(seed)` for seeds base_seed .. base_seed + num_seeds - 1. A trial returns an
-// empty string to signal success, or a diagnostic message to signal failure (oracle
-// violation, deadlock, ...). Trials are executed sequentially, so they may share
-// deterministic state if desired; typically each trial is self-contained.
+class CheckpointStore;
+
+// How the engine runs a sweep.
+struct ParallelOptions {
+  // Worker count. 1 (the default) runs the sweep serially on the calling thread — the
+  // engine's one serial loop, no pool. 0 means auto: the SYNEVAL_JOBS environment
+  // variable when set to a positive integer, otherwise hardware_concurrency().
+  int jobs = 1;
+  // Seeds per stealable chunk. 0 = auto (sized so each worker sees several chunks,
+  // keeping the steal queue useful without shredding cache locality). With a
+  // checkpoint attached, auto pins a fixed chunk size instead, so the chunk layout —
+  // which is part of every checkpoint key — is independent of the worker count and a
+  // sweep can resume under a different --jobs.
+  int chunk_seeds = 0;
+
+  // Checkpoint/resume (runtime/checkpoint.h). When non-null, every folded chunk is
+  // committed to the store under a key derived from (checkpoint_scope, sweep kind,
+  // base seed, seed count, chunk layout, chunk index), and chunks already present are
+  // restored instead of re-run — so a killed sweep, resumed against the same store,
+  // merges bit-identical to an uninterrupted run. `checkpoint_scope` must identify
+  // everything that shapes the trial beyond the seed (suite case, workload scale,
+  // fault plan); sweep entry points that know that context (conformance, chaos
+  // calibration) append it themselves.
+  CheckpointStore* checkpoint = nullptr;
+  std::string checkpoint_scope;
+};
+
+// Runs `trial(seed)` for seeds base_seed .. base_seed + num_seeds - 1 through the sweep
+// engine. A trial returns an empty string to signal success, or a diagnostic message to
+// signal failure (oracle violation, deadlock, ...). With the default options the trials
+// run one after another on the calling thread; with parallel.jobs != 1 they run on a
+// worker pool and must be safe to invoke concurrently (every self-contained trial is).
 SweepOutcome SweepSchedules(int num_seeds, const std::function<std::string(std::uint64_t)>& trial,
-                            std::uint64_t base_seed = 1);
+                            std::uint64_t base_seed = 1, const ParallelOptions& parallel = {});
 
 // As above, for instrumented trials: also sums anomaly counters across trials and keeps
 // the seeds (and first diagnostic) of anomalous schedules for exact replay.
 SweepOutcome SweepSchedules(int num_seeds,
                             const std::function<TrialReport(std::uint64_t)>& trial,
-                            std::uint64_t base_seed = 1);
-
-// Parallel overloads: shard the seed range across a work-stealing worker pool
-// (runtime/parallel_sweep.h) and merge deterministically — the returned outcome is
-// bit-identical to the serial sweep of the same seeds at any worker count.
-// parallel.jobs == 1 falls back to the serial loop on the calling thread; the trial
-// must be safe to invoke concurrently otherwise (every self-contained trial is).
-struct ParallelOptions;
-SweepOutcome SweepSchedules(int num_seeds,
-                            const std::function<std::string(std::uint64_t)>& trial,
-                            std::uint64_t base_seed, const ParallelOptions& parallel);
-SweepOutcome SweepSchedules(int num_seeds,
-                            const std::function<TrialReport(std::uint64_t)>& trial,
-                            std::uint64_t base_seed, const ParallelOptions& parallel);
+                            std::uint64_t base_seed = 1, const ParallelOptions& parallel = {});
 
 // ---------------------------------------------------------------------------------------
 // Chaos sweeps: matched fault-on / fault-off runs that calibrate the anomaly detector
@@ -208,35 +228,31 @@ struct ChaosSweepOutcome {
   std::string Summary() const;
 };
 
-// Runs `trial(seed, &plan)` and `trial(seed, nullptr)` for each seed and aggregates.
-// The trial owns runtime construction; it must attach a FaultInjector for the plan it
-// is given (nullptr = fault-off) and report what fired via ChaosTrialOutcome. A trial
-// that throws is folded in as hung (fault-on) or clean_failure (fault-off), keeping
-// `runs` a common denominator, as with SweepSchedules.
+// Runs `trial(seed, &plan)` and `trial(seed, nullptr)` for each seed through the sweep
+// engine and aggregates; `parallel` as for SweepSchedules. The trial owns runtime
+// construction; it must attach a FaultInjector for the plan it is given (nullptr =
+// fault-off) and report what fired via ChaosTrialOutcome. A trial that throws is
+// folded in as hung (fault-on) or clean_failure (fault-off), keeping `runs` a common
+// denominator, as with SweepSchedules.
 ChaosSweepOutcome SweepChaos(
     int num_seeds,
     const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
-    const FaultPlan& plan, std::uint64_t base_seed = 1);
-
-// Parallel overload, same contract as the SweepSchedules one: bit-identical to the
-// serial chaos sweep at any worker count, serial fallback at parallel.jobs == 1.
-ChaosSweepOutcome SweepChaos(
-    int num_seeds,
-    const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
-    const FaultPlan& plan, std::uint64_t base_seed, const ParallelOptions& parallel);
+    const FaultPlan& plan, std::uint64_t base_seed = 1,
+    const ParallelOptions& parallel = {});
 
 // ---------------------------------------------------------------------------------------
-// Shared per-seed accumulation and chunk-merge steps. The serial sweeps above fold every
-// seed through AccumulateTrial/AccumulateChaosTrial; the parallel engine folds each
+// Shared per-seed accumulation and chunk-merge steps. The engine's serial path folds
+// every seed through AccumulateTrial/AccumulateChaosTrial; its pool folds each
 // contiguous chunk through the same functions and then reduces the chunk outcomes in
 // chunk order with MergeOutcome/MergeChaosOutcome. Keeping both paths on one
 // accumulation routine is what makes "bit-identical to the serial sweep" a structural
-// property rather than a hope.
+// property rather than a hope. The supervisor (runtime/supervisor.h) folds its
+// supervised seeds through AccumulateTrial too.
 namespace sweep_internal {
 
 // Runs trial(seed) — folding an escaping exception into a "trial aborted" failure so
 // the rate denominators never desynchronize — and accumulates the report into
-// `outcome` exactly as the serial loop does.
+// `outcome`.
 void AccumulateTrial(const std::function<TrialReport(std::uint64_t)>& trial,
                      std::uint64_t seed, SweepOutcome& outcome);
 

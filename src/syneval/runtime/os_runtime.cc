@@ -129,6 +129,9 @@ class OsMutex : public RtMutex {
         flight->Record(tid, FlightEventType::kAcquire, this, FlightNowNanos(rt_));
       }
     }
+    if (rt_->abortable()) {
+      holder_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+    }
     try {
       if (FaultDecision fault = ConsultInjector(rt_, FaultSite::kLockPost)) {
         if (fault.kind == FaultKind::kStall) {
@@ -140,12 +143,21 @@ class OsMutex : public RtMutex {
       // stays sound (destroying or abandoning a locked std::mutex is undefined), but
       // skip OnRelease — to the detector and every observer the dead thread holds
       // this lock forever, which is the damage a mid-protocol death models.
+      holder_.store(std::thread::id(), std::memory_order_relaxed);
       mu_.unlock();
       throw;
     }
   }
 
   void Unlock() override {
+    if (rt_->abortable()) {
+      if (holder_.load(std::memory_order_relaxed) != std::this_thread::get_id()) {
+        // A Wait aborted while re-acquiring unwinds without the lock (LockBlocking),
+        // yet the caller's RAII guard still releases it: there is nothing to release.
+        return;
+      }
+      holder_.store(std::thread::id(), std::memory_order_relaxed);
+    }
     if (AnomalyDetector* det = rt_->anomaly_detector()) {
       det->OnRelease(rt_->CurrentThreadId(), this);
       // Releases matter only for runs that can build a postmortem (detector
@@ -180,6 +192,8 @@ class OsMutex : public RtMutex {
 
   OsRuntime* rt_;
   std::mutex mu_;
+  // The thread holding mu_, tracked in abortable mode only (see Unlock).
+  std::atomic<std::thread::id> holder_{};
 };
 
 class OsCondVar : public RtCondVar {
@@ -255,9 +269,10 @@ class OsCondVar : public RtCondVar {
       notified = WaitBlocking(mutex, timeout_nanos);
     } catch (const TrialAborted&) {
       // Force-unwound by the supervisor's reaper: keep the waiter count sound and
-      // rethrow with the mutex re-held (WaitBlocking re-acquired it), so the caller's
-      // RAII unlock stays valid. The detector is in SetAborting() by now, so the
-      // missing OnWake is moot — OnThreadFinish discards the record.
+      // rethrow. The mutex is re-held unless the re-acquire itself was aborted, in
+      // which case OsMutex::Unlock makes the caller's RAII unlock a no-op. The
+      // detector is in SetAborting() by now, so the missing OnWake is moot —
+      // OnThreadFinish discards the record.
       waiting_.fetch_sub(1, std::memory_order_relaxed);
       throw;
     }
@@ -282,15 +297,16 @@ class OsCondVar : public RtCondVar {
   // timeout_nanos == 0 means untimed. Returns false iff the deadline expired first.
   //
   // In abortable mode the wait runs in poll-length slices so a reaped trial unwinds
-  // within one slice: each slice re-checks the abort flag (throwing TrialAborted with
-  // the mutex re-held) and otherwise keeps waiting. A slice expiry is NOT a wakeup —
-  // the loop re-arms — so detector wait ages keep measuring the full wait and genuine
-  // hangs still age past the watchdog threshold. Re-arming opens the classic gap where
-  // a notify lands between two slices (no thread inside the OS wait); the notify
-  // generation counter closes it: the generation is sampled under the user mutex
-  // before the first slice, notifiers bump it before cv_.notify, and any slice that
-  // observes a newer generation returns as notified (a spurious wakeup for every
-  // slicing waiter but the intended one — permitted by the RtCondVar contract).
+  // within one slice: each slice re-checks the abort flag (throwing TrialAborted,
+  // normally with the mutex re-held) and otherwise keeps waiting. A slice expiry is
+  // NOT a wakeup — the loop re-arms — so detector wait ages keep measuring the full
+  // wait and genuine hangs still age past the watchdog threshold. Re-arming opens the
+  // classic gap where a notify lands between two slices (no thread inside the OS
+  // wait); the notify generation counter closes it: the generation is sampled under
+  // the user mutex before the first slice, notifiers bump it before cv_.notify, and
+  // any slice that observes a newer generation returns as notified (a spurious wakeup
+  // for every slicing waiter but the intended one — permitted by the RtCondVar
+  // contract).
   bool WaitBlocking(RtMutex& mutex, std::uint64_t timeout_nanos) {
     if (!rt_->abortable()) {
       if (timeout_nanos == 0) {
@@ -303,8 +319,8 @@ class OsCondVar : public RtCondVar {
       return cv_.wait_until(mutex, deadline.time_point()) == std::cv_status::no_timeout;
     }
     const std::uint64_t generation = notify_generation_.load(std::memory_order_acquire);
-    const Deadline deadline = Deadline::AfterNanos(
-        timeout_nanos == 0 ? ~std::uint64_t{0} >> 1 : timeout_nanos);
+    // Read only when timed: an "infinite" untimed deadline would overflow the clock.
+    const Deadline deadline = Deadline::AfterNanos(timeout_nanos);
     for (;;) {
       Deadline slice = Deadline::After(rt_->abort_poll());
       if (timeout_nanos != 0 && deadline.time_point() < slice.time_point()) {

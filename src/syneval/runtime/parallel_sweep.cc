@@ -1,9 +1,11 @@
 #include "syneval/runtime/parallel_sweep.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -89,7 +91,7 @@ void RunSweepPool(int num_seeds, std::uint64_t base_seed, const ParallelOptions&
     return;
   }
 
-  // Serial fallback: one job means the caller's thread runs the plain serial loop —
+  // The one serial loop: one job means the caller's thread folds the seeds in order —
   // no pool, no queues, nothing for TSan to look at. A checkpointed sweep always
   // takes the chunked path (still inline, still threadless at jobs == 1) because the
   // chunk layout is what the store keys on.
@@ -209,9 +211,13 @@ int ResolveJobs(int jobs) {
   }
   if (jobs == 0) {
     if (const char* env = std::getenv("SYNEVAL_JOBS"); env != nullptr && *env != '\0') {
+      // A value that overflows long (ERANGE) or does not fit in int is malformed,
+      // like any other, and falls back to hardware_concurrency().
       char* end = nullptr;
+      errno = 0;
       const long parsed = std::strtol(env, &end, 10);
-      if (end != nullptr && *end == '\0' && parsed > 0) {
+      if (end != nullptr && *end == '\0' && errno != ERANGE && parsed > 0 &&
+          parsed <= std::numeric_limits<int>::max()) {
         return static_cast<int>(parsed);
       }
     }

@@ -1,15 +1,19 @@
 // Parallel sweep engine: schedule sweeps sharded across a work-stealing worker pool,
 // with a merge step that is bit-identical to the serial sweep.
 //
-// Every trial in a sweep (runtime/explore.h) is an independent deterministic replay —
-// the trial constructs its own DetRuntime, AnomalyDetector, and (for chaos sweeps)
-// FaultInjector from nothing but the seed — so a sweep is embarrassingly parallel.
+// This is the one sweep engine: SweepSchedules and SweepChaos (runtime/explore.h) are
+// front doors to it, and its jobs == 1 path is the one serial loop — seeds in order on
+// the calling thread, no pool — that every other worker count is checked against.
+//
+// Every trial in a sweep is an independent deterministic replay — the trial constructs
+// its own DetRuntime, AnomalyDetector, and (for chaos sweeps) FaultInjector from
+// nothing but the seed — so a sweep is embarrassingly parallel.
 // This engine exploits that without giving up the repository's core invariant that
 // every aggregate is a pure function of (suite, seed range):
 //
 //   * The seed range is cut into contiguous CHUNKS of seeds. Each chunk is folded into
 //     a partial outcome using the exact same per-seed accumulation code the serial
-//     sweep runs (sweep_internal::AccumulateTrial / AccumulateChaosTrial).
+//     path runs (sweep_internal::AccumulateTrial / AccumulateChaosTrial).
 //   * Chunks are distributed over a fixed-size pool of workers, each of which drains
 //     its own queue front-to-back and STEALS from the back of a sibling's queue when
 //     it runs dry. Steal order affects only which thread computes a chunk, never the
@@ -42,31 +46,8 @@
 
 namespace syneval {
 
-class CheckpointStore;
-
-struct ParallelOptions {
-  // Worker count. 1 (the default) runs the sweep serially on the calling thread — the
-  // exact serial code path, no pool. 0 means auto: the SYNEVAL_JOBS environment
-  // variable when set to a positive integer, otherwise hardware_concurrency().
-  int jobs = 1;
-  // Seeds per stealable chunk. 0 = auto (sized so each worker sees several chunks,
-  // keeping the steal queue useful without shredding cache locality). With a
-  // checkpoint attached, auto pins a fixed chunk size instead, so the chunk layout —
-  // which is part of every checkpoint key — is independent of the worker count and a
-  // sweep can resume under a different --jobs.
-  int chunk_seeds = 0;
-
-  // Checkpoint/resume (runtime/checkpoint.h). When non-null, every folded chunk is
-  // committed to the store under a key derived from (checkpoint_scope, sweep kind,
-  // base seed, seed count, chunk layout, chunk index), and chunks already present are
-  // restored instead of re-run — so a killed sweep, resumed against the same store,
-  // merges bit-identical to an uninterrupted run. `checkpoint_scope` must identify
-  // everything that shapes the trial beyond the seed (suite case, workload scale,
-  // fault plan); sweep entry points that know that context (conformance, chaos
-  // calibration) append it themselves.
-  CheckpointStore* checkpoint = nullptr;
-  std::string checkpoint_scope;
-};
+// ParallelOptions (jobs, chunking, checkpointing) is defined with the sweep front
+// doors in runtime/explore.h.
 
 // Resolves a --jobs style request: n > 0 is taken literally; 0 consults SYNEVAL_JOBS
 // and then hardware_concurrency(); anything else degrades to 1. Always returns >= 1.
@@ -97,8 +78,8 @@ struct ParallelChaosResult {
   std::vector<WorkerTelemetry> workers;
 };
 
-// Parallel counterpart of SweepSchedules(num_seeds, trial, base_seed): same outcome,
-// plus pool telemetry. options.jobs == 1 runs serially inline.
+// The engine behind SweepSchedules: the same outcome, plus pool telemetry.
+// options.jobs == 1 runs the serial loop inline.
 ParallelSweepResult ParallelSweepSchedules(
     int num_seeds, const std::function<TrialReport(std::uint64_t)>& trial,
     std::uint64_t base_seed = 1, const ParallelOptions& options = {});
@@ -107,8 +88,8 @@ ParallelSweepResult ParallelSweepSchedules(
     int num_seeds, const std::function<std::string(std::uint64_t)>& trial,
     std::uint64_t base_seed = 1, const ParallelOptions& options = {});
 
-// Parallel counterpart of SweepChaos: each seed still contributes one matched
-// fault-on + fault-off pair, executed by the same worker back to back.
+// The engine behind SweepChaos: each seed contributes one matched fault-on + fault-off
+// pair, executed by the same worker back to back.
 ParallelChaosResult ParallelSweepChaos(
     int num_seeds,
     const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,

@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <fstream>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -18,6 +16,7 @@
 #include "syneval/runtime/deadline.h"
 #include "syneval/runtime/os_runtime.h"
 #include "syneval/telemetry/flight_recorder.h"
+#include "syneval/telemetry/metrics.h"
 #include "syneval/telemetry/postmortem.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -38,31 +37,6 @@ namespace syneval {
 namespace {
 
 std::atomic<int> g_active_trials{0};
-
-// Minimal JSON string escaping for quarantine.json. The runtime layer sits below
-// syneval_core, so it cannot reuse the scorecard helpers.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
 
 std::string DeadlineMessage(const SupervisorOptions& options) {
   return "reaped: trial exceeded " + std::to_string(options.trial_deadline.count()) +
@@ -94,7 +68,8 @@ SupervisorStats& SupervisorStats::operator+=(const SupervisorStats& other) {
 
 // ---- Canned abortable OsRuntime trial ----------------------------------------------
 
-SupervisableTrial MakeSupervisableOsTrial(std::function<std::string(OsRuntime&)> body) {
+std::function<TrialReport(std::uint64_t)> MakeSupervisableOsTrial(
+    std::function<std::string(OsRuntime&)> body) {
   struct Context {
     Context() : runtime(MakeOptions()) {
       runtime.AttachAnomalyDetector(&detector);
@@ -105,10 +80,10 @@ SupervisableTrial MakeSupervisableOsTrial(std::function<std::string(OsRuntime&)>
       options.abortable = true;
       return options;
     }
-    // Observe()-time Poll threshold: the only Poll caller here is the reaper, one
-    // sample at the deadline, so a low threshold cannot produce steady-state false
-    // positives — it just lets the postmortem name waits the deadline already proved
-    // suspicious.
+    // Observe()-time Poll threshold: the only Poll callers here are the reaper (one
+    // sample at the deadline) and the sandbox heartbeat, so a low threshold cannot
+    // produce steady-state false positives — it just lets the postmortem name waits
+    // the deadline already proved suspicious.
     static AnomalyDetector::Options DetectorOptions() {
       AnomalyDetector::Options options;
       options.stuck_wait_nanos = 10'000'000;  // 10 ms
@@ -118,43 +93,89 @@ SupervisableTrial MakeSupervisableOsTrial(std::function<std::string(OsRuntime&)>
     AnomalyDetector detector{DetectorOptions()};
     FlightRecorder flight{FlightRecorder::Options::ForTrial()};
   };
-  auto ctx = std::make_shared<Context>();
-  SupervisableTrial trial;
-  trial.run = [ctx, body = std::move(body)]() {
+  return [body = std::move(body)](std::uint64_t) {
+    Context ctx;
+    TrialAbortScope abort_scope(
+        [&ctx] {
+          // Detector first: the unwind's hook traffic (threads releasing resources
+          // they no longer own) must be ignored, exactly as in DetRuntime's teardown.
+          ctx.detector.SetAborting(true);
+          ctx.runtime.RequestAbort();
+        },
+        [&ctx] {
+          // One Poll classifies the currently-parked threads (the trial is presumed
+          // hung when this runs), then the flight recorder narrates them.
+          ctx.detector.Poll(static_cast<std::int64_t>(ctx.runtime.NowNanos()));
+          const Postmortem pm = BuildPostmortem(ctx.flight, &ctx.detector);
+          TrialObservation obs;
+          obs.cause = pm.cause;
+          obs.text = pm.empty() ? std::string() : pm.ToText();
+          return obs;
+        });
     TrialReport report;
-    report.message = body(ctx->runtime);
-    report.anomalies = ctx->detector.counts();
-    report.anomaly_report = ctx->detector.Report();
+    report.message = body(ctx.runtime);
+    report.anomalies = ctx.detector.counts();
+    report.anomaly_report = ctx.detector.Report();
     if (!report.message.empty() || !report.anomalies.Clean()) {
-      const Postmortem pm = BuildPostmortem(ctx->flight, &ctx->detector);
+      const Postmortem pm = BuildPostmortem(ctx.flight, &ctx.detector);
       if (!pm.empty()) {
         report.postmortem_cause = pm.cause;
         report.postmortem = pm.ToText();
       }
     }
-    report.flight_evicted = ctx->flight.evicted();
+    report.flight_evicted = ctx.flight.evicted();
     return report;
   };
-  trial.abort = [ctx]() {
-    // Detector first: the unwind's hook traffic (threads releasing resources they no
-    // longer own) must be ignored, exactly as in DetRuntime's teardown.
-    ctx->detector.SetAborting(true);
-    ctx->runtime.RequestAbort();
-  };
-  trial.observe = [ctx]() {
-    // One Poll classifies the currently-parked threads (the trial is presumed hung
-    // when this runs), then the flight recorder narrates them.
-    ctx->detector.Poll(static_cast<std::int64_t>(ctx->runtime.NowNanos()));
-    const Postmortem pm = BuildPostmortem(ctx->flight, &ctx->detector);
-    TrialObservation obs;
-    obs.cause = pm.cause;
-    obs.text = pm.empty() ? std::string() : pm.ToText();
-    return obs;
-  };
-  return trial;
 }
 
-// ---- Cooperative abort seam for wrapped trial functions -----------------------------
+// ---- Cooperative abort seam ---------------------------------------------------------
+
+// Reaper-facing handle to the (possibly not yet constructed) trial of one supervised
+// call. Thread-safe; Abort() on an empty slot is remembered and fired on late
+// registration, so a reap cannot be lost to a construction race.
+class TrialAbortSlot {
+ public:
+  // Force-unwind the registered trial. The mutex is held across the callback so
+  // Unregister() (the trial's scope destructor) cannot pull the captures out from
+  // under an in-flight abort.
+  void Abort() {
+    std::lock_guard<std::mutex> lock(mu_);
+    aborted_ = true;
+    if (abort_) {
+      abort_();
+    }
+  }
+
+  // A live postmortem of the registered trial ("" fields when nothing is registered
+  // or there is nothing to explain yet).
+  TrialObservation Observe() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return observe_ ? observe_() : TrialObservation{};
+  }
+
+  void Register(std::function<void()> abort, std::function<TrialObservation()> observe) {
+    std::lock_guard<std::mutex> lock(mu_);
+    abort_ = std::move(abort);
+    observe_ = std::move(observe);
+    if (aborted_ && abort_) {
+      // The reaper fired before the trial finished constructing its runtime; deliver
+      // the abort now so the freshly-registered trial unwinds promptly.
+      abort_();
+    }
+  }
+
+  void Unregister() {
+    std::lock_guard<std::mutex> lock(mu_);
+    abort_ = nullptr;
+    observe_ = nullptr;
+  }
+
+ private:
+  std::mutex mu_;
+  bool aborted_ = false;
+  std::function<void()> abort_;
+  std::function<TrialObservation()> observe_;
+};
 
 namespace {
 
@@ -163,44 +184,6 @@ namespace {
 thread_local TrialAbortSlot* g_trial_abort_slot = nullptr;
 
 }  // namespace
-
-void TrialAbortSlot::Abort() {
-  // The slot mutex is held across the callback so Unregister() (the trial's scope
-  // destructor) cannot pull the captures out from under an in-flight abort.
-  std::lock_guard<std::mutex> lock(mu_);
-  aborted_ = true;
-  if (abort_) {
-    abort_();
-  }
-}
-
-TrialObservation TrialAbortSlot::Observe() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return observe_ ? observe_() : TrialObservation{};
-}
-
-bool TrialAbortSlot::aborted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return aborted_;
-}
-
-void TrialAbortSlot::Register(std::function<void()> abort,
-                              std::function<TrialObservation()> observe) {
-  std::lock_guard<std::mutex> lock(mu_);
-  abort_ = std::move(abort);
-  observe_ = std::move(observe);
-  if (aborted_ && abort_) {
-    // The reaper fired before the trial finished constructing its runtime; deliver
-    // the abort now so the freshly-registered trial unwinds promptly.
-    abort_();
-  }
-}
-
-void TrialAbortSlot::Unregister() {
-  std::lock_guard<std::mutex> lock(mu_);
-  abort_ = nullptr;
-  observe_ = nullptr;
-}
 
 TrialAbortScope::TrialAbortScope(std::function<void()> abort,
                                  std::function<TrialObservation()> observe)
@@ -216,25 +199,33 @@ TrialAbortScope::~TrialAbortScope() {
   }
 }
 
+namespace {
+
+struct TrialReapResult {
+  bool reaped = false;           // The deadline fired before `fn` returned.
+  TrialObservation observation;  // The reaper's pre-abort harvest (sparse).
+};
+
+// Runs `fn` on the calling thread with `slot` installed as the thread's abort slot,
+// under a wall-clock deadline: the one reaper thread observes and then aborts through
+// the slot when the deadline expires. deadline <= 0 runs `fn` with the slot installed
+// but no reaper. The abort is cooperative — `fn` must eventually return through its
+// runtime's abort path (DetRuntime trials always do: the driver regains control at
+// every scheduling step).
 TrialReapResult RunWithTrialDeadline(TrialAbortSlot& slot,
                                      std::chrono::milliseconds deadline,
                                      const std::function<void()>& fn) {
   TrialReapResult result;
-  TrialAbortSlot* const previous = g_trial_abort_slot;
-  g_trial_abort_slot = &slot;
-
-  struct ReaperState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-  };
-  ReaperState state;
+  TrialAbortSlot* const previous = std::exchange(g_trial_abort_slot, &slot);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
   std::thread reaper;
   if (deadline.count() > 0) {
-    reaper = std::thread([&state, &slot, &result, deadline] {
+    reaper = std::thread([&] {
       const Deadline until = Deadline::After(deadline);
-      std::unique_lock<std::mutex> lock(state.mu);
-      if (state.cv.wait_until(lock, until.time_point(), [&] { return state.done; })) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (cv.wait_until(lock, until.time_point(), [&] { return done; })) {
         return;  // The trial finished inside its budget; nothing to reap.
       }
       lock.unlock();
@@ -245,110 +236,64 @@ TrialReapResult RunWithTrialDeadline(TrialAbortSlot& slot,
       slot.Abort();
     });
   }
-
-  try {
-    fn();
-  } catch (...) {
+  // Stops the reaper and uninstalls the slot on both the normal and the throwing exit.
+  const auto finish = [&] {
     {
-      std::lock_guard<std::mutex> lock(state.mu);
-      state.done = true;
+      std::lock_guard<std::mutex> lock(mu);
+      done = true;
     }
-    state.cv.notify_all();
+    cv.notify_all();
     if (reaper.joinable()) {
       reaper.join();
     }
     g_trial_abort_slot = previous;
+  };
+  try {
+    fn();
+  } catch (...) {
+    finish();
     throw;
   }
-
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    state.done = true;
-  }
-  state.cv.notify_all();
-  if (reaper.joinable()) {
-    reaper.join();
-  }
-  g_trial_abort_slot = previous;
+  finish();
   return result;
 }
 
 // ---- In-process supervised attempt --------------------------------------------------
 
-namespace {
-
-SupervisedTrialResult RunInProcessAttempt(const SupervisableTrial& trial,
-                                          const SupervisorOptions& options) {
+SupervisedTrialResult RunInProcessAttempt(
+    const std::function<TrialReport(std::uint64_t)>& trial, std::uint64_t seed,
+    const SupervisorOptions& options) {
   SupervisedTrialResult result;
   ActiveTrialScope active;
-
-  struct ReaperState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool reaped = false;
-    TrialObservation observation;
-  };
-  auto state = std::make_shared<ReaperState>();
-
-  std::thread reaper;
-  if (options.trial_deadline.count() > 0 && trial.abort) {
-    reaper = std::thread([state, abort = trial.abort, observe = trial.observe,
-                          deadline = options.trial_deadline] {
-      const Deadline until = Deadline::After(deadline);
-      std::unique_lock<std::mutex> lock(state->mu);
-      if (state->cv.wait_until(lock, until.time_point(),
-                               [&] { return state->done; })) {
-        return;  // Trial finished inside its budget; nothing to reap.
-      }
-      state->reaped = true;
-      lock.unlock();
-      // Capture the hung state BEFORE unwinding it — after abort the interesting
-      // waits are gone.
-      if (observe) {
-        TrialObservation observation = observe();
-        lock.lock();
-        state->observation = std::move(observation);
-        lock.unlock();
-      }
-      abort();
-    });
-  }
-
-  try {
-    result.report = trial.run();
-  } catch (const TrialAborted&) {
-    // The reaper fired while the driving thread itself was parked in a primitive.
-  } catch (const std::exception& e) {
-    result.crashed = true;
-    result.crash.crashed = true;
-    result.crash.what = e.what();
-  } catch (...) {
-    result.crashed = true;
-    result.crash.crashed = true;
-    result.crash.what = "unknown exception";
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->done = true;
-  }
-  state->cv.notify_all();
-  if (reaper.joinable()) {
-    reaper.join();
-  }
-
-  if (state->reaped) {
+  TrialAbortSlot slot;
+  bool threw = false;
+  std::string what;
+  const TrialReapResult reap = RunWithTrialDeadline(slot, options.trial_deadline, [&] {
+    try {
+      result.report = trial(seed);
+    } catch (const std::exception& e) {
+      threw = true;
+      what = e.what();
+    } catch (...) {
+      // Includes the TrialAborted a reaped OsRuntime trial unwinds with.
+      threw = true;
+      what = "unknown exception";
+    }
+  });
+  if (reap.reaped) {
     result.reaped = true;
     // Whatever the unwound trial's oracle said about its half-executed workload is
     // not a verdict; the supervised outcome is "this seed's trial hung".
     result.report.message = DeadlineMessage(options);
-    if (result.report.postmortem.empty() && !state->observation.text.empty()) {
-      result.report.postmortem_cause = state->observation.cause;
-      result.report.postmortem = state->observation.text;
+    if (result.report.postmortem.empty() && !reap.observation.text.empty()) {
+      result.report.postmortem_cause = reap.observation.cause;
+      result.report.postmortem = reap.observation.text;
     }
-  } else if (result.crashed) {
-    result.report.message = "crashed: " + result.crash.what;
+  } else if (threw) {
+    result.crashed = true;
+    result.crash.crashed = true;
+    result.crash.what = what;
+    result.report.message = "crashed: " + what;
   }
   return result;
 }
@@ -465,7 +410,7 @@ TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
 // Child-side body; never returns. Everything the trial does — constructor included —
 // happens after the fork, so a crash anywhere is contained.
 [[noreturn]] void RunSandboxChild(ShmBlock* block,
-                                  const SupervisableTrialFactory& factory,
+                                  const std::function<TrialReport(std::uint64_t)>& trial,
                                   std::uint64_t seed,
                                   const SupervisorOptions& options) {
   g_sandbox_block = block;
@@ -488,41 +433,41 @@ TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
   block->heartbeat.fetch_add(1, std::memory_order_relaxed);
   TrialReport report;
   {
-    const SupervisableTrial trial = factory(seed);
-
-    // Heartbeat + live-postmortem publisher: keeps the ring fresh so the parent can
-    // harvest a recent snapshot after SIGKILLing a hung child.
+    // Heartbeat + live-postmortem publisher, observing through the slot the trial
+    // registers into: keeps the ring fresh so the parent can harvest a recent
+    // snapshot after SIGKILLing a hung child. Only non-empty observations are
+    // published, so one taken before registration or after unregistration cannot
+    // displace a real one.
+    TrialAbortSlot slot;
     std::atomic<bool> stop{false};
-    std::thread publisher;
-    if (trial.observe) {
-      publisher = std::thread([&] {
-        const auto period = std::max<std::chrono::milliseconds>(
-            options.sandbox_poll, std::chrono::milliseconds(1));
-        while (!stop.load(std::memory_order_relaxed)) {
-          block->heartbeat.fetch_add(1, std::memory_order_relaxed);
-          SandboxPublishPostmortem(block, trial.observe());
-          std::this_thread::sleep_for(period);
-        }
-      });
-    }
+    std::thread publisher([&] {
+      const auto period = std::max<std::chrono::milliseconds>(
+          options.sandbox_poll, std::chrono::milliseconds(1));
+      while (!stop.load(std::memory_order_relaxed)) {
+        block->heartbeat.fetch_add(1, std::memory_order_relaxed);
+        SandboxPublishPostmortem(block, slot.Observe());
+        std::this_thread::sleep_for(period);
+      }
+    });
 
-    try {
-      report = trial.run();
-    } catch (const std::exception& e) {
-      ShmCopyString(block->what, kShmWhatCap, e.what());
+    const auto crash = [block](const char* what) {
+      ShmCopyString(block->what, kShmWhatCap, what);
       block->signal_number = 0;
       block->state.store(kShmCrashed, std::memory_order_release);
       _exit(125);
-    } catch (...) {
-      ShmCopyString(block->what, kShmWhatCap, "unknown exception");
-      block->signal_number = 0;
-      block->state.store(kShmCrashed, std::memory_order_release);
-      _exit(125);
-    }
+    };
+    // No in-child deadline: the parent's SIGKILL is the reap.
+    RunWithTrialDeadline(slot, std::chrono::milliseconds(0), [&] {
+      try {
+        report = trial(seed);
+      } catch (const std::exception& e) {
+        crash(e.what());
+      } catch (...) {
+        crash("unknown exception");
+      }
+    });
     stop.store(true, std::memory_order_relaxed);
-    if (publisher.joinable()) {
-      publisher.join();
-    }
+    publisher.join();
   }
 
   // Ship the report; shed its biggest fields one by one if it cannot fit.
@@ -547,9 +492,9 @@ TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
   _exit(0);
 }
 
-SupervisedTrialResult RunSandboxedAttempt(const SupervisableTrialFactory& factory,
-                                          std::uint64_t seed,
-                                          const SupervisorOptions& options) {
+SupervisedTrialResult RunSandboxedAttempt(
+    const std::function<TrialReport(std::uint64_t)>& trial, std::uint64_t seed,
+    const SupervisorOptions& options) {
   SupervisedTrialResult result;
   ActiveTrialScope active;
 
@@ -557,17 +502,17 @@ SupervisedTrialResult RunSandboxedAttempt(const SupervisableTrialFactory& factor
                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (mapping == MAP_FAILED) {
     // No shared memory, no sandbox: degrade to in-process supervision.
-    return RunInProcessAttempt(factory(seed), options);
+    return RunInProcessAttempt(trial, seed, options);
   }
   ShmBlock* block = new (mapping) ShmBlock();
 
   const pid_t child = fork();
   if (child < 0) {
     munmap(mapping, sizeof(ShmBlock));
-    return RunInProcessAttempt(factory(seed), options);
+    return RunInProcessAttempt(trial, seed, options);
   }
   if (child == 0) {
-    RunSandboxChild(block, factory, seed, options);  // _exits; never returns.
+    RunSandboxChild(block, trial, seed, options);  // _exits; never returns.
   }
 
   const bool untimed = options.trial_deadline.count() <= 0;
@@ -638,12 +583,7 @@ SupervisedTrialResult RunSandboxedAttempt(const SupervisableTrialFactory& factor
 
 }  // namespace
 
-SupervisedTrialResult RunSupervisedTrial(const SupervisableTrial& trial,
-                                         const SupervisorOptions& options) {
-  return RunInProcessAttempt(trial, options);
-}
-
-SupervisedTrialResult RunSupervisedSeed(const SupervisableTrialFactory& factory,
+SupervisedTrialResult RunSupervisedSeed(const std::function<TrialReport(std::uint64_t)>& trial,
                                         std::uint64_t seed,
                                         const SupervisorOptions& options,
                                         SupervisorStats* stats) {
@@ -656,13 +596,10 @@ SupervisedTrialResult RunSupervisedSeed(const SupervisableTrialFactory& factory,
       std::this_thread::sleep_for(options.retry_backoff * (1 << (attempt - 2)));
     }
 #if SYNEVAL_SANDBOX_AVAILABLE
-    if (options.sandbox) {
-      result = RunSandboxedAttempt(factory, seed, options);
-    } else {
-      result = RunInProcessAttempt(factory(seed), options);
-    }
+    result = options.sandbox ? RunSandboxedAttempt(trial, seed, options)
+                             : RunInProcessAttempt(trial, seed, options);
 #else
-    result = RunInProcessAttempt(factory(seed), options);
+    result = RunInProcessAttempt(trial, seed, options);
 #endif
     result.attempts = attempt;
     local.reaped += result.reaped ? 1 : 0;
@@ -677,6 +614,28 @@ SupervisedTrialResult RunSupervisedSeed(const SupervisableTrialFactory& factory,
   return result;
 }
 
+void CellQuarantine::Record(const SupervisedTrialResult& seed,
+                            const SupervisorStats& attempts, int quarantine_after) {
+  stats += attempts;
+  if (!seed.Catastrophic()) {
+    return;
+  }
+  ++catastrophic_seeds;
+  last_crash = seed.crash;
+  if (!seed.report.postmortem.empty()) {
+    last_postmortem_cause = seed.report.postmortem_cause;
+    last_postmortem = seed.report.postmortem;
+  }
+  if (!quarantined && catastrophic_seeds >= std::max(1, quarantine_after)) {
+    quarantined = true;
+    ++stats.quarantined;
+    // The report message of a catastrophic attempt is the deadline or crash text.
+    quarantine_reason = std::to_string(catastrophic_seeds) + " catastrophic seed" +
+                        (catastrophic_seeds == 1 ? "" : "s") + " (last: " +
+                        seed.report.message + ")";
+  }
+}
+
 SupervisedSweepReport SuperviseSweep(const std::vector<SupervisedCell>& cells,
                                      int num_seeds, std::uint64_t base_seed,
                                      const SupervisorOptions& options) {
@@ -685,34 +644,17 @@ SupervisedSweepReport SuperviseSweep(const std::vector<SupervisedCell>& cells,
   for (const SupervisedCell& cell : cells) {
     SupervisedCellResult cr;
     cr.id = cell.id;
-    int catastrophic = 0;
-    for (int i = 0; i < num_seeds; ++i) {
+    for (int i = 0; i < num_seeds && !cr.quarantined; ++i) {
       const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
+      SupervisorStats attempts;
       const SupervisedTrialResult trial =
-          RunSupervisedSeed(cell.trial, seed, options, &cr.stats);
+          RunSupervisedSeed(cell.trial, seed, options, &attempts);
       // Same accumulation the plain sweeps run, so a healthy cell's outcome is
       // bit-identical to an unsupervised sweep of it.
       sweep_internal::AccumulateTrial(
           [&trial](std::uint64_t) { return trial.report; }, seed, cr.outcome);
       ++cr.completed_seeds;
-      if (trial.Catastrophic()) {
-        ++catastrophic;
-        cr.last_crash = trial.crash;
-        cr.last_postmortem_cause = trial.report.postmortem_cause;
-        cr.last_postmortem = trial.report.postmortem;
-        if (catastrophic >= std::max(1, options.quarantine_after)) {
-          cr.quarantined = true;
-          ++cr.stats.quarantined;
-          std::ostringstream reason;
-          reason << catastrophic << " catastrophic trial"
-                 << (catastrophic == 1 ? "" : "s") << " (last: "
-                 << (trial.reaped ? DeadlineMessage(options)
-                                  : "crashed: " + trial.crash.what)
-                 << ") after " << cr.completed_seeds << "/" << num_seeds << " seeds";
-          cr.quarantine_reason = reason.str();
-          break;
-        }
-      }
+      cr.Record(trial, attempts, options.quarantine_after);
     }
     report.totals += cr.stats;
     report.cells.push_back(std::move(cr));
@@ -779,23 +721,7 @@ std::string SupervisedSweepReport::QuarantineJson() const {
 }
 
 bool SupervisedSweepReport::WriteQuarantineFile(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << QuarantineJson();
-    out.flush();
-    if (!out) {
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return WriteFileAtomically(path, QuarantineJson());
 }
 
 }  // namespace syneval

@@ -5,25 +5,29 @@
 // (the very deadlocks the suite exists to provoke) or one crashed worker must not
 // stall or forfeit the whole sweep. This module hardens the evaluation harness itself:
 //
-//   * RunSupervisedTrial runs one trial under a wall-clock deadline with a reaper
-//     thread. If the deadline expires, the reaper captures a live postmortem through
-//     the trial's `observe` callback and then force-unwinds the trial through its
-//     `abort` callback — for the canned OsRuntime trial, AnomalyDetector::SetAborting
-//     followed by OsRuntime::RequestAbort, so every blocked thread throws TrialAborted
-//     and unwinds through RAII guards that no-op behind the Runtime::Aborting() seam.
+//   * One abort seam. A supervised trial is a plain TrialReport(seed) function that
+//     registers its own abort and observe callbacks through TrialAbortScope once its
+//     runtime exists. The supervisor installs a TrialAbortSlot for each call and
+//     starts the one reaper thread: at the deadline it captures a live postmortem
+//     through the slot, then force-unwinds the trial through it — for the canned
+//     OsRuntime trial, AnomalyDetector::SetAborting followed by
+//     OsRuntime::RequestAbort, so every blocked thread throws TrialAborted and unwinds
+//     through RAII guards that no-op behind the Runtime::Aborting() seam.
 //   * For cells that cannot be unwound cooperatively, an opt-in fork()-based process
-//     sandbox runs the trial in a child process: the child publishes heartbeats and
-//     live postmortems into a shared-memory ring (per-slot seqlock, so the parent can
-//     harvest a consistent snapshot from a wedged child), converts SIGSEGV / SIGABRT /
-//     SIGBUS / SIGFPE / SIGILL / std::terminate / escaping exceptions into a
-//     structured TrialCrash record in shared memory, and the parent SIGKILLs it at the
-//     deadline — a reap no in-process mechanism can refuse.
-//   * RunSupervisedSeed retries catastrophic attempts (reaped or crashed) with
-//     exponential backoff; SuperviseSweep additionally quarantines any cell whose
-//     trials keep dying — folding the seeds it did complete, skipping the rest, and
-//     reporting the cell with its last crash and postmortem in quarantine.json — so a
-//     sweep with broken cells still terminates with every healthy cell's outcome
-//     bit-identical to a clean run.
+//     sandbox runs the trial in a child process: the child installs a slot too and
+//     publishes heartbeats and live postmortems observed through it into a
+//     shared-memory ring (per-slot seqlock, so the parent can harvest a consistent
+//     snapshot from a wedged child), converts SIGSEGV / SIGABRT / SIGBUS / SIGFPE /
+//     SIGILL / std::terminate / escaping exceptions into a structured TrialCrash
+//     record in shared memory, and the parent SIGKILLs it at the deadline — a reap no
+//     in-process mechanism can refuse.
+//   * One retry/quarantine policy. RunSupervisedSeed is the only attempt loop: it
+//     retries catastrophic attempts (reaped or crashed) with exponential backoff.
+//     CellQuarantine is the only quarantine counter. SuperviseSweep and the chaos row
+//     wrapper (fault/chaos.h) both build on the two, so a cell whose trials keep dying
+//     is quarantined — its completed seeds folded, the rest skipped, its last crash
+//     and postmortem reported in quarantine.json — and a sweep with broken cells
+//     still terminates with every healthy cell's outcome bit-identical to a clean run.
 //
 // The process-wide ActiveTrials() gauge also feeds the OsRuntime watchdog's
 // load-adaptive poll threshold (os_runtime.h): trials register through
@@ -38,7 +42,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -64,72 +67,32 @@ class ActiveTrialScope {
   ActiveTrialScope& operator=(const ActiveTrialScope&) = delete;
 };
 
-// ---- Supervisable trials ------------------------------------------------------------
+// ---- Supervised trials and the abort seam -----------------------------------------
 
 // A live observation of a running (possibly hung) trial, published to the supervisor
-// by the `observe` callback: the flight-recorder postmortem as of now.
+// by the trial's observe callback: the flight-recorder postmortem as of now.
 struct TrialObservation {
   std::string cause;  // Postmortem::cause ("" when there is nothing to explain yet).
   std::string text;   // Postmortem::ToText().
 };
 
-// One supervisable trial instance. `run` executes the trial on the calling thread and
-// is required; the other two run on supervisor threads concurrently with `run`:
-//   abort    — force-unwind the trial cooperatively (detector SetAborting + runtime
-//              RequestAbort). Optional; without it an in-process deadline can only be
-//              observed, not enforced (use the sandbox for such cells).
-//   observe  — capture a live postmortem of the current trial state. Optional; used
-//              by the reaper just before aborting and by the sandbox child's
-//              heartbeat thread to keep the shared-memory ring fresh.
-struct SupervisableTrial {
-  std::function<TrialReport()> run;
-  std::function<void()> abort;
-  std::function<TrialObservation()> observe;
-};
+// Canned abortable OsRuntime trial: each call constructs a fresh abortable OsRuntime
+// with an AnomalyDetector and a trial-sized FlightRecorder attached, registers its
+// abort (detector SetAborting, then runtime RequestAbort) and observe callbacks
+// through a TrialAbortScope, runs `body` (which returns the oracle verdict: empty =
+// pass), and folds detector counts and a postmortem into the TrialReport. The seed is
+// ignored; the body decides what varies.
+std::function<TrialReport(std::uint64_t)> MakeSupervisableOsTrial(
+    std::function<std::string(OsRuntime&)> body);
 
-// Builds the trial for one seed. Called per attempt — in sandbox mode inside the
-// child process, so a crashing constructor is contained too.
-using SupervisableTrialFactory = std::function<SupervisableTrial(std::uint64_t)>;
-
-// Canned abortable OsRuntime trial: constructs a fresh abortable OsRuntime with an
-// AnomalyDetector and a trial-sized FlightRecorder attached, runs `body` (which
-// returns the oracle verdict: empty = pass), folds detector counts and a postmortem
-// into the TrialReport, and wires `abort`/`observe` to the runtime's seams.
-SupervisableTrial MakeSupervisableOsTrial(std::function<std::string(OsRuntime&)> body);
-
-// ---- Cooperative abort seam for wrapped trial functions -----------------------------
-//
-// Chaos supervision (fault/chaos.h) wraps an existing trial *function* rather than a
-// SupervisableTrial: the trial's abortable runtime is constructed deep inside the
-// callback, out of the wrapper's reach. The seam is a per-thread slot: the wrapper
-// installs a TrialAbortSlot on the calling thread for the duration of the wrapped
-// call, and the trial's internals register their abort/observe callbacks into
-// whatever slot their thread has installed via TrialAbortScope. Unsupervised runs
-// install no slot, making the scope a no-op — which is what keeps a supervised
-// healthy cell bit-identical to an unsupervised sweep of it.
-
-// Reaper-facing handle to the (possibly not yet constructed) trial of one wrapped
-// call. Thread-safe; Abort() on an empty slot is remembered and fired on late
-// registration, so a reap cannot be lost to a construction race.
-class TrialAbortSlot {
- public:
-  // Force-unwind the registered trial (for DetRuntime trials: RequestAbort()).
-  void Abort();
-  // Capture a live postmortem of the registered trial ("" fields when nothing is
-  // registered or there is nothing to explain yet).
-  TrialObservation Observe();
-  bool aborted() const;
-
- private:
-  friend class TrialAbortScope;
-  void Register(std::function<void()> abort, std::function<TrialObservation()> observe);
-  void Unregister();
-
-  mutable std::mutex mu_;
-  bool aborted_ = false;
-  std::function<void()> abort_;
-  std::function<TrialObservation()> observe_;
-};
+// The seam is a per-thread slot. RunSupervisedSeed installs a TrialAbortSlot on the
+// thread that runs one trial call, and the trial's internals register their
+// abort/observe callbacks into whatever slot their thread has installed via
+// TrialAbortScope — from deep inside the call, once the runtime they abort exists.
+// Unsupervised runs install no slot, making the scope a no-op — which is what keeps a
+// supervised healthy cell bit-identical to an unsupervised sweep of it. The slot and
+// the one reaper that fires through it live in supervisor.cc.
+class TrialAbortSlot;
 
 // RAII registration of the calling trial's abort/observe callbacks into the thread's
 // installed slot (no-op when none is installed). Construct it after everything the
@@ -146,21 +109,6 @@ class TrialAbortScope {
   TrialAbortSlot* slot_;
 };
 
-struct TrialReapResult {
-  bool reaped = false;           // The deadline fired before `fn` returned.
-  TrialObservation observation;  // The reaper's pre-abort harvest (sparse).
-};
-
-// Runs `fn` on the calling thread with `slot` installed as the thread's abort slot,
-// under a wall-clock deadline: a reaper thread observes and then aborts through the
-// slot when the deadline expires. deadline <= 0 runs `fn` with the slot installed but
-// no reaper. The abort is cooperative — `fn` must eventually return through its
-// runtime's abort path (DetRuntime trials always do: the driver regains control at
-// every scheduling step).
-TrialReapResult RunWithTrialDeadline(TrialAbortSlot& slot,
-                                     std::chrono::milliseconds deadline,
-                                     const std::function<void()>& fn);
-
 // ---- Supervision policy and results -------------------------------------------------
 
 struct SupervisorOptions {
@@ -173,9 +121,9 @@ struct SupervisorOptions {
   int max_attempts = 2;
   // Sleep before retry k is retry_backoff × 2^(k-1).
   std::chrono::milliseconds retry_backoff{10};
-  // SuperviseSweep: a cell is quarantined once this many seeds end catastrophic
-  // (after their retries). Quarantining stops sweeping the cell; seeds already folded
-  // are kept, the rest are skipped.
+  // A cell (SuperviseSweep) or chaos row is quarantined once this many seeds end
+  // catastrophic (after their retries). Quarantining stops sweeping the cell; seeds
+  // already folded are kept, the rest are skipped.
   int quarantine_after = 2;
   // Run each attempt in a fork()ed child (POSIX only; ignored where unavailable).
   bool sandbox = false;
@@ -214,40 +162,50 @@ struct SupervisedTrialResult {
   bool Catastrophic() const { return reaped || crashed; }
 };
 
-// Runs one already-constructed trial under the deadline/reaper (no retries — the
-// trial instance is single-use). Sandbox mode is not available here; use
-// RunSupervisedSeed, which can re-construct per attempt.
-SupervisedTrialResult RunSupervisedTrial(const SupervisableTrial& trial,
-                                         const SupervisorOptions& options);
-
-// Full per-seed supervision: build-via-factory, deadline, crash capture, retry with
-// backoff. `stats` (nullable) accumulates reaped/crashed/retried.
-SupervisedTrialResult RunSupervisedSeed(const SupervisableTrialFactory& factory,
+// The one attempt loop: runs trial(seed) under the deadline and crash capture —
+// in-process with the thread's TrialAbortSlot and reaper, or in a fork()ed child when
+// options.sandbox — and retries catastrophic attempts with backoff. A TrialAborted
+// escaping a reaped trial counts as the reap, not a crash. `stats` (nullable)
+// accumulates reaped/crashed/retried. max_attempts = 1 supervises a single attempt.
+SupervisedTrialResult RunSupervisedSeed(const std::function<TrialReport(std::uint64_t)>& trial,
                                         std::uint64_t seed,
                                         const SupervisorOptions& options,
                                         SupervisorStats* stats);
 
 // ---- Cell-level supervision and quarantine ------------------------------------------
 
+// The one quarantine counter: a cell's supervision verdict, folded seed by seed from
+// RunSupervisedSeed's results. Not thread-safe; a caller recording from a worker pool
+// guards it with its own mutex (fault/chaos.cc does).
+struct CellQuarantine {
+  bool quarantined = false;
+  std::string quarantine_reason;      // "" unless quarantined.
+  int catastrophic_seeds = 0;         // Seeds that ended catastrophic after retries.
+  TrialCrash last_crash;              // Last catastrophic seed's crash record.
+  std::string last_postmortem_cause;  // Last non-empty postmortem of a catastrophic
+  std::string last_postmortem;        // seed (the trial's own, or the reaper's).
+  SupervisorStats stats;
+
+  // Folds one seed: `attempts` (what RunSupervisedSeed accumulated for it) into
+  // `stats`, and a catastrophic result into the counter. The cell is quarantined once
+  // max(1, quarantine_after) seeds ended catastrophic.
+  void Record(const SupervisedTrialResult& seed, const SupervisorStats& attempts,
+              int quarantine_after);
+};
+
 // One risky sweep cell: a (problem, mechanism[, fault]) point whose seeds are swept
 // under supervision. `id` must be unique within the sweep (it keys quarantine.json).
 struct SupervisedCell {
   std::string id;
-  SupervisableTrialFactory trial;
+  std::function<TrialReport(std::uint64_t)> trial;
 };
 
-struct SupervisedCellResult {
+struct SupervisedCellResult : CellQuarantine {
   std::string id;
   // Folded through the same sweep_internal accumulation as every other sweep, so a
   // healthy cell's outcome is bit-identical to an unsupervised sweep of it.
   SweepOutcome outcome;
-  bool quarantined = false;
-  std::string quarantine_reason;  // "" unless quarantined.
-  int completed_seeds = 0;        // Seeds folded before quarantine (== runs).
-  TrialCrash last_crash;          // Last catastrophic attempt's crash record.
-  std::string last_postmortem_cause;  // Last catastrophic attempt's postmortem.
-  std::string last_postmortem;
-  SupervisorStats stats;
+  int completed_seeds = 0;  // Seeds folded before quarantine (== runs).
 };
 
 struct SupervisedSweepReport {

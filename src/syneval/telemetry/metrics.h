@@ -205,8 +205,8 @@ class MetricsRegistry {
   std::map<std::string, MechanismStats*> mechanisms_;
 };
 
-// JSON string escaping shared by the telemetry emitters (registry JSON, Chrome trace,
-// bench harness output).
+// The one JSON string escaper: registry JSON, Chrome trace, bench harness output and
+// both quarantine.json writers (runtime/supervisor.h, fault/chaos.h).
 std::string JsonEscape(const std::string& text);
 
 }  // namespace syneval

@@ -12,6 +12,7 @@
 
 #include "syneval/core/conformance.h"
 #include "syneval/solutions/registry.h"
+#include "syneval/telemetry/metrics.h"
 
 namespace syneval {
 namespace {
@@ -19,28 +20,6 @@ namespace {
 constexpr int kSeeds = 12;
 
 class ConformanceTest : public ::testing::TestWithParam<std::size_t> {};
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // CI sets SYNEVAL_POSTMORTEM_DIR so that an unexpected failure leaves its postmortems
 // behind as JSON artifacts (one file per stored postmortem, named for exact replay via

@@ -1,7 +1,8 @@
 // Tests for the parallel sweep engine (runtime/parallel_sweep.h): the blocking
-// bit-identity contract — a parallel sweep's outcome must equal the serial sweep of
-// the same seeds field by field, at any worker count, chunk size, or steal order —
-// plus the serial fallback, jobs resolution, worker telemetry accounting, and the
+// bit-identity contract — a parallel sweep's outcome must equal the serial sweep (the
+// engine's jobs == 1 path, which SweepSchedules/SweepChaos run by default) of the same
+// seeds field by field, at any worker count, chunk size, or steal order — plus the
+// serial path, jobs resolution, worker telemetry accounting, and the
 // counterexample replay sweep built on top of it.
 
 #include <cstdlib>
@@ -191,12 +192,27 @@ TEST(ParallelSweepTest, ResolveJobsHonorsLiteralEnvAndFallback) {
   EXPECT_EQ(ResolveJobs(5), 5);
   EXPECT_EQ(ResolveJobs(-3), 1);
 
+  ASSERT_EQ(unsetenv("SYNEVAL_JOBS"), 0);
+  const int fallback = ResolveJobs(0);  // hardware_concurrency(), or 1.
+  EXPECT_GE(fallback, 1);
+
   ASSERT_EQ(setenv("SYNEVAL_JOBS", "3", /*overwrite=*/1), 0);
   EXPECT_EQ(ResolveJobs(0), 3);
-  ASSERT_EQ(setenv("SYNEVAL_JOBS", "not-a-number", 1), 0);
-  EXPECT_GE(ResolveJobs(0), 1);  // Malformed env degrades to hardware_concurrency.
+  // Malformed env degrades to hardware_concurrency — including values that do not fit
+  // in int or overflow strtol, which must never become a negative worker count.
+  for (const char* malformed : {"not-a-number", "2147483648", "99999999999999999999"}) {
+    ASSERT_EQ(setenv("SYNEVAL_JOBS", malformed, 1), 0);
+    EXPECT_EQ(ResolveJobs(0), fallback) << malformed;
+  }
+  // An auto-jobs sweep under the int-overflowing value must not reach the chunk
+  // arithmetic with a non-positive worker count.
+  ASSERT_EQ(setenv("SYNEVAL_JOBS", "2147483648", 1), 0);
+  ParallelOptions auto_jobs;
+  auto_jobs.jobs = 0;
+  const SweepOutcome swept =
+      SweepSchedules(8, [](std::uint64_t) { return std::string(); }, 1, auto_jobs);
+  EXPECT_EQ(swept.runs, 8);
   ASSERT_EQ(unsetenv("SYNEVAL_JOBS"), 0);
-  EXPECT_GE(ResolveJobs(0), 1);
 }
 
 // Stress the pool under maximum steal pressure: tiny chunks, more workers than

@@ -13,10 +13,14 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,6 +84,12 @@ SupervisorOptions FastOptions() {
   return options;
 }
 
+// One supervised seed, without the stats the retry tests look at.
+SupervisedTrialResult SuperviseOnce(const std::function<TrialReport(std::uint64_t)>& trial,
+                                    const SupervisorOptions& options) {
+  return RunSupervisedSeed(trial, /*seed=*/1, options, nullptr);
+}
+
 // ---- Gauge ----------------------------------------------------------------------------
 
 TEST(ActiveTrialsTest, GaugeCountsScopesAndNeverReadsZero) {
@@ -98,7 +108,7 @@ TEST(ActiveTrialsTest, GaugeCountsScopesAndNeverReadsZero) {
 TEST(SupervisorTest, HungTrialIsReapedWithinDeadline) {
   const auto start = steady_clock::now();
   const SupervisedTrialResult result =
-      RunSupervisedTrial(MakeSupervisableOsTrial(HangForever), FastOptions());
+      SuperviseOnce(MakeSupervisableOsTrial(HangForever), FastOptions());
   const auto elapsed = steady_clock::now() - start;
   EXPECT_TRUE(result.reaped);
   EXPECT_FALSE(result.crashed);
@@ -111,14 +121,14 @@ TEST(SupervisorTest, HungTrialIsReapedWithinDeadline) {
 
 TEST(SupervisorTest, HungManagedThreadsAreUnwoundToo) {
   const SupervisedTrialResult result =
-      RunSupervisedTrial(MakeSupervisableOsTrial(HangWithWorkers), FastOptions());
+      SuperviseOnce(MakeSupervisableOsTrial(HangWithWorkers), FastOptions());
   EXPECT_TRUE(result.reaped);
   EXPECT_NE(result.report.message.find("deadline"), std::string::npos);
 }
 
 TEST(SupervisorTest, ReapedTrialCarriesALivePostmortem) {
   const SupervisedTrialResult result =
-      RunSupervisedTrial(MakeSupervisableOsTrial(HangForever), FastOptions());
+      SuperviseOnce(MakeSupervisableOsTrial(HangForever), FastOptions());
   ASSERT_TRUE(result.reaped);
   // The reaper captured observe() just before aborting: the detector had a parked
   // waiter to report, so the postmortem names the stuck wait.
@@ -126,8 +136,38 @@ TEST(SupervisorTest, ReapedTrialCarriesALivePostmortem) {
   EXPECT_NE(result.report.postmortem.find("stuck"), std::string::npos);
 }
 
+// The reaper fires before the trial has registered anything: the abort lands on an
+// empty slot, and TrialAbortSlot must deliver it when the trial's TrialAbortScope
+// registers late — otherwise the hang below would only end by timing out.
+TEST(SupervisorTest, AbortBeforeRegistrationIsDeliveredOnLateRegistration) {
+  auto waited_out = std::make_shared<std::atomic<bool>>(false);
+  const std::function<TrialReport(std::uint64_t)> late_hang =
+      MakeSupervisableOsTrial([waited_out](OsRuntime& rt) -> std::string {
+        std::unique_ptr<RtMutex> mu = rt.CreateMutex();
+        std::unique_ptr<RtCondVar> cv = rt.CreateCondVar();
+        std::unique_lock<RtMutex> lock(*mu);
+        // Nobody signals: only the abort ends this wait before the 5 s give-up.
+        const auto give_up = steady_clock::now() + milliseconds(5000);
+        while (steady_clock::now() < give_up) {
+          cv->WaitFor(*mu, 100'000'000);
+        }
+        waited_out->store(true);
+        return "";
+      });
+  const SupervisedTrialResult result = SuperviseOnce(
+      [&late_hang](std::uint64_t seed) {
+        std::this_thread::sleep_for(milliseconds(400));  // Past the 150 ms deadline.
+        return late_hang(seed);  // Only now constructs its runtime and scope.
+      },
+      FastOptions());
+  EXPECT_TRUE(result.reaped);
+  EXPECT_FALSE(result.crashed);
+  EXPECT_NE(result.report.message.find("deadline"), std::string::npos);
+  EXPECT_FALSE(waited_out->load()) << "the abort was lost to the late registration";
+}
+
 TEST(SupervisorTest, HealthyTrialIsUntouchedByTheDeadline) {
-  const SupervisedTrialResult result = RunSupervisedTrial(
+  const SupervisedTrialResult result = SuperviseOnce(
       MakeSupervisableOsTrial([](OsRuntime&) { return std::string(); }), FastOptions());
   EXPECT_FALSE(result.reaped);
   EXPECT_FALSE(result.crashed);
@@ -138,7 +178,7 @@ TEST(SupervisorTest, ZeroDeadlineDisablesReaping) {
   // With no deadline the trial must complete on its own; use a body that finishes.
   SupervisorOptions options;
   options.trial_deadline = milliseconds(0);
-  const SupervisedTrialResult result = RunSupervisedTrial(
+  const SupervisedTrialResult result = SuperviseOnce(
       MakeSupervisableOsTrial([](OsRuntime&) { return std::string("verdict"); }),
       options);
   EXPECT_FALSE(result.reaped);
@@ -148,7 +188,7 @@ TEST(SupervisorTest, ZeroDeadlineDisablesReaping) {
 // ---- Crash capture --------------------------------------------------------------------
 
 TEST(SupervisorTest, EscapingExceptionBecomesStructuredCrash) {
-  const SupervisedTrialResult result = RunSupervisedTrial(
+  const SupervisedTrialResult result = SuperviseOnce(
       MakeSupervisableOsTrial([](OsRuntime&) -> std::string {
         throw std::runtime_error("synthetic defect in trial body");
       }),
@@ -162,7 +202,7 @@ TEST(SupervisorTest, EscapingExceptionBecomesStructuredCrash) {
 }
 
 TEST(SupervisorTest, OracleFailureIsAResultNotACrash) {
-  const SupervisedTrialResult result = RunSupervisedTrial(
+  const SupervisedTrialResult result = SuperviseOnce(
       MakeSupervisableOsTrial(
           [](OsRuntime&) { return std::string("oracle: order violated"); }),
       FastOptions());
@@ -178,14 +218,12 @@ TEST(SupervisorTest, CatastrophicAttemptsAreRetriedUntilOneSucceeds) {
   options.max_attempts = 3;
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
-      [attempts](std::uint64_t) {
-        return MakeSupervisableOsTrial([attempts](OsRuntime&) -> std::string {
-          if (attempts->fetch_add(1) < 2) {
-            throw std::runtime_error("flaky crash");
-          }
-          return "";
-        });
-      },
+      MakeSupervisableOsTrial([attempts](OsRuntime&) -> std::string {
+        if (attempts->fetch_add(1) < 2) {
+          throw std::runtime_error("flaky crash");
+        }
+        return "";
+      }),
       /*seed=*/1, options, &stats);
   EXPECT_FALSE(result.Catastrophic());
   EXPECT_EQ(result.attempts, 3);
@@ -200,12 +238,10 @@ TEST(SupervisorTest, OracleFailuresAreNeverRetried) {
   options.max_attempts = 5;
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
-      [attempts](std::uint64_t) {
-        return MakeSupervisableOsTrial([attempts](OsRuntime&) {
-          attempts->fetch_add(1);
-          return std::string("legitimate oracle failure");
-        });
-      },
+      MakeSupervisableOsTrial([attempts](OsRuntime&) {
+        attempts->fetch_add(1);
+        return std::string("legitimate oracle failure");
+      }),
       /*seed=*/1, options, &stats);
   EXPECT_EQ(attempts->load(), 1);
   EXPECT_EQ(stats.retried, 0);
@@ -214,13 +250,13 @@ TEST(SupervisorTest, OracleFailuresAreNeverRetried) {
 
 // ---- Quarantine and the acceptance scenario -------------------------------------------
 
-SupervisableTrialFactory HealthyCounterCell(int start) {
+std::function<TrialReport(std::uint64_t)> HealthyCounterCell(int start) {
   return [start](std::uint64_t seed) {
     return MakeSupervisableOsTrial([start, seed](OsRuntime&) -> std::string {
       // Deterministic per-seed verdict so outcomes are comparable across sweeps.
       return (start + static_cast<int>(seed)) % 7 == 0 ? "synthetic oracle failure"
                                                        : "";
-    });
+    })(seed);
   };
 }
 
@@ -228,11 +264,9 @@ TEST(SupervisorTest, CellIsQuarantinedAfterNCatastrophicSeeds) {
   SupervisorOptions options = FastOptions();
   options.quarantine_after = 3;
   const std::vector<SupervisedCell> cells = {
-      {"always-crashes", [](std::uint64_t) {
-         return MakeSupervisableOsTrial([](OsRuntime&) -> std::string {
-           throw std::runtime_error("permanent defect");
-         });
-       }}};
+      {"always-crashes", MakeSupervisableOsTrial([](OsRuntime&) -> std::string {
+         throw std::runtime_error("permanent defect");
+       })}};
   const SupervisedSweepReport report = SuperviseSweep(cells, /*num_seeds=*/10, 1, options);
   ASSERT_EQ(report.cells.size(), 1u);
   const SupervisedCellResult& cell = report.cells[0];
@@ -262,14 +296,10 @@ TEST(SupervisorTest, SweepWithHungAndCrashingCellsKeepsHealthyOutcomesBitIdentic
   ASSERT_EQ(clean.QuarantinedCells(), 0);
 
   std::vector<SupervisedCell> cells = healthy_only;
-  cells.push_back({"hung", [](std::uint64_t) {
-                     return MakeSupervisableOsTrial(HangForever);
-                   }});
-  cells.push_back({"crash", [](std::uint64_t) {
-                     return MakeSupervisableOsTrial([](OsRuntime&) -> std::string {
-                       throw std::runtime_error("boom");
-                     });
-                   }});
+  cells.push_back({"hung", MakeSupervisableOsTrial(HangForever)});
+  cells.push_back({"crash", MakeSupervisableOsTrial([](OsRuntime&) -> std::string {
+                     throw std::runtime_error("boom");
+                   })});
   const auto start = steady_clock::now();
   const SupervisedSweepReport report = SuperviseSweep(cells, kSeeds, 1, options);
   const auto elapsed = steady_clock::now() - start;
@@ -297,6 +327,96 @@ TEST(SupervisorTest, SweepWithHungAndCrashingCellsKeepsHealthyOutcomesBitIdentic
   EXPECT_NE(json.find("\"hung\""), std::string::npos);
   EXPECT_NE(json.find("\"crash\""), std::string::npos);
   EXPECT_NE(json.find("boom"), std::string::npos);
+}
+
+// ---- quarantine.json bytes ------------------------------------------------------------
+
+// Every JSON-significant and control byte a cell id, reason, crash or postmortem can
+// carry, and how the shared escaper must render it.
+const std::string kNasty = "q\"b\\s\nn\tt\x01" "end";
+const std::string kNastyJson = "q\\\"b\\\\s\\nn\\tt\\u0001end";
+
+TEST(QuarantineJsonTest, SupervisedSweepReportBytesArePinned) {
+  SupervisedCellResult cell;
+  cell.id = kNasty;
+  cell.quarantined = true;
+  cell.quarantine_reason = kNasty;
+  cell.completed_seeds = 2;
+  cell.outcome.runs = 2;
+  cell.outcome.failures = 2;
+  cell.stats.reaped = 1;
+  cell.stats.crashed = 1;
+  cell.last_crash.crashed = true;
+  cell.last_crash.what = kNasty;
+  cell.last_postmortem_cause = kNasty;
+  cell.last_postmortem = kNasty;
+  SupervisedSweepReport report;
+  report.cells.push_back(cell);
+  report.totals = cell.stats;
+  const std::string e = kNastyJson;
+  EXPECT_EQ(report.QuarantineJson(),
+            "{\n"
+            "  \"schema_version\": 1,\n"
+            "  \"quarantined_cells\": 1,\n"
+            "  \"reaped\": 1,\n"
+            "  \"crashed\": 1,\n"
+            "  \"retried\": 0,\n"
+            "  \"cells\": [\n"
+            "    {\"id\": \"" + e + "\", \"quarantined\": true, \"completed_seeds\": 2, "
+            "\"runs\": 2, \"failures\": 2, \"reaped\": 1, \"crashed\": 1, \"retried\": 0, "
+            "\"reason\": \"" + e + "\", \"crash\": {\"signal\": 0, \"what\": \"" + e +
+            "\"}, \"postmortem_cause\": \"" + e + "\", \"postmortem\": \"" + e + "\"}\n"
+            "  ]\n"
+            "}\n");
+}
+
+TEST(QuarantineJsonTest, ChaosCalibrationTableBytesArePinned) {
+  ChaosCalibrationRow row;
+  row.problem = "bounded-buffer";
+  row.display = kNasty;
+  row.fault = "stall";
+  row.outcome.runs = 3;
+  row.outcome.skipped = 5;
+  row.outcome.harmful = 2;
+  row.outcome.detected_harmful = 1;
+  row.quarantined = true;
+  row.quarantine_reason = kNasty;
+  row.last_postmortem_cause = kNasty;
+  row.last_postmortem = kNasty;
+  ChaosCalibrationTable table;
+  table.rows.push_back(row);
+  table.supervisor.reaped = 1;
+  table.supervisor.retried = 1;
+  const std::string e = kNastyJson;
+  EXPECT_EQ(table.QuarantineJson(),
+            "{\n"
+            "  \"schema_version\": 1,\n"
+            "  \"quarantined_cells\": 1,\n"
+            "  \"reaped\": 1,\n"
+            "  \"crashed\": 0,\n"
+            "  \"retried\": 1,\n"
+            "  \"cells\": [\n"
+            "    {\"id\": \"bounded-buffer/" + e + "/stall\", \"quarantined\": true, "
+            "\"completed_seeds\": 3, \"skipped_seeds\": 5, \"harmful\": 2, "
+            "\"detected_harmful\": 1, \"reason\": \"" + e + "\", \"postmortem_cause\": \"" +
+            e + "\", \"postmortem\": \"" + e + "\"}\n"
+            "  ]\n"
+            "}\n");
+}
+
+TEST(QuarantineJsonTest, QuarantineFilesAreWrittenWhole) {
+  const std::string path = testing::TempDir() + "/quarantine_test.json";
+  SupervisedSweepReport report;
+  report.cells.emplace_back();
+  report.cells.back().id = kNasty;
+  ASSERT_TRUE(report.WriteQuarantineFile(path));
+  std::ifstream in(path);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, report.QuarantineJson());
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());  // Renamed into place.
+  std::remove(path.c_str());
+  EXPECT_FALSE(report.WriteQuarantineFile(testing::TempDir() + "/no/such/dir/q.json"));
 }
 
 // ---- Supervised chaos calibration -----------------------------------------------------
@@ -413,14 +533,14 @@ TEST(SupervisedChaosTest, ReapedHangStillCountsTowardRecallThenQuarantines) {
   EXPECT_EQ(outcome.skipped, 2);
   {
     std::lock_guard<std::mutex> lock(state->mu);
-    EXPECT_TRUE(state->quarantined);
-    EXPECT_EQ(state->catastrophic_seeds, 2);
-    EXPECT_NE(state->quarantine_reason.find("catastrophic"), std::string::npos);
+    EXPECT_TRUE(state->quarantine.quarantined);
+    EXPECT_EQ(state->quarantine.catastrophic_seeds, 2);
+    EXPECT_NE(state->quarantine.quarantine_reason.find("catastrophic"), std::string::npos);
     // The reaper's pre-abort harvest was kept as the row's last postmortem.
-    EXPECT_EQ(state->last_postmortem_cause, "synthetic-hang");
-    EXPECT_EQ(state->stats.reaped, 4);  // 2 attempts × (fault-on + fault-off).
-    EXPECT_EQ(state->stats.retried, 2);
-    EXPECT_EQ(state->stats.quarantined, 1);
+    EXPECT_EQ(state->quarantine.last_postmortem_cause, "synthetic-hang");
+    EXPECT_EQ(state->quarantine.stats.reaped, 4);  // 2 attempts × (fault-on + fault-off).
+    EXPECT_EQ(state->quarantine.stats.retried, 2);
+    EXPECT_EQ(state->quarantine.stats.quarantined, 1);
   }
 }
 
@@ -444,9 +564,10 @@ TEST(SupervisedChaosTest, CrashingTrialIsQuarantinedExactly) {
   EXPECT_EQ(outcome.skipped, 3);
   {
     std::lock_guard<std::mutex> lock(state->mu);
-    EXPECT_TRUE(state->quarantined);
-    EXPECT_EQ(state->stats.crashed, 2);
-    EXPECT_NE(state->quarantine_reason.find("synthetic trial defect"), std::string::npos);
+    EXPECT_TRUE(state->quarantine.quarantined);
+    EXPECT_EQ(state->quarantine.stats.crashed, 2);
+    EXPECT_NE(state->quarantine.quarantine_reason.find("synthetic trial defect"),
+              std::string::npos);
   }
 }
 
@@ -470,9 +591,9 @@ TEST(SupervisedChaosTest, HealthyTrialPassesThroughUntouched) {
   EXPECT_TRUE(out.completed);
   EXPECT_EQ(out.steps, 107u);
   std::lock_guard<std::mutex> lock(state->mu);
-  EXPECT_EQ(state->stats.reaped, 0);
-  EXPECT_EQ(state->stats.crashed, 0);
-  EXPECT_EQ(state->stats.retried, 0);
+  EXPECT_EQ(state->quarantine.stats.reaped, 0);
+  EXPECT_EQ(state->quarantine.stats.crashed, 0);
+  EXPECT_EQ(state->quarantine.stats.retried, 0);
 }
 
 // Supervised soak + checkpoint resume: the second run restores every per-seed chunk
@@ -528,13 +649,11 @@ TEST(SupervisorSandboxTest, SegfaultingChildBecomesStructuredCrash) {
   options.trial_deadline = milliseconds(2000);
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
-      [](std::uint64_t) {
-        return MakeSupervisableOsTrial([](OsRuntime&) -> std::string {
-          volatile int* null_pointer = nullptr;
-          *null_pointer = 42;  // SIGSEGV in the child, not this process.
-          return "";
-        });
-      },
+      MakeSupervisableOsTrial([](OsRuntime&) -> std::string {
+        volatile int* null_pointer = nullptr;
+        *null_pointer = 42;  // SIGSEGV in the child, not this process.
+        return "";
+      }),
       /*seed=*/1, options, &stats);
   EXPECT_TRUE(result.crashed);
   EXPECT_EQ(result.crash.signal_number, SIGSEGV);
@@ -549,8 +668,7 @@ TEST(SupervisorSandboxTest, HungChildIsKilledAtTheDeadline) {
   SupervisorStats stats;
   const auto start = steady_clock::now();
   const SupervisedTrialResult result = RunSupervisedSeed(
-      [](std::uint64_t) { return MakeSupervisableOsTrial(HangForever); },
-      /*seed=*/1, options, &stats);
+      MakeSupervisableOsTrial(HangForever), /*seed=*/1, options, &stats);
   const auto elapsed = steady_clock::now() - start;
   EXPECT_TRUE(result.reaped);
   EXPECT_EQ(stats.reaped, 1);
@@ -568,7 +686,7 @@ TEST(SupervisorSandboxTest, CleanChildReportRoundTripsThroughSharedMemory) {
       [](std::uint64_t seed) {
         return MakeSupervisableOsTrial([seed](OsRuntime&) {
           return "verdict for seed " + std::to_string(seed);
-        });
+        })(seed);
       },
       /*seed=*/7, options, &stats);
   EXPECT_FALSE(result.Catastrophic());
