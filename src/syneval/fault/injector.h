@@ -11,11 +11,11 @@
 // attached telemetry as a named instant event "fault.<kind>" plus fault/* counters, so
 // a Perfetto trace of a chaos run shows exactly what was injected where.
 //
-// Locking: the injector has its own leaf mutex. Decide() is called with runtime
-// scheduler locks held (DetRuntime's mu_ in particular), so it must never call back
-// into runtime or detector objects; timestamps are therefore passed *in* by the caller
-// rather than read via Runtime::NowNanos(), and the only outward calls are to the
-// TelemetryTracer / MetricsRegistry, which sit strictly later in the lock order.
+// Locking: the injector has its own leaf mutex. Decide() may be called with runtime
+// scheduler locks held, so it must never call back into runtime or detector objects;
+// timestamps are therefore passed *in* by the caller rather than read via
+// Runtime::NowNanos(), and the only outward calls are to the TelemetryTracer /
+// MetricsRegistry, which sit strictly later in the lock order.
 //
 // Determinism: under DetRuntime, sites are visited in schedule order, so
 // (plan, schedule seed) fully determines the injection sequence. Under OsRuntime the

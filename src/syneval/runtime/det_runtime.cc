@@ -1,8 +1,14 @@
 #include "syneval/runtime/det_runtime.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <deque>
+#include <new>
 #include <sstream>
 #include <utility>
 
@@ -10,6 +16,27 @@
 #include "syneval/fault/fault.h"
 #include "syneval/telemetry/flight_recorder.h"
 #include "syneval/telemetry/tracer.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SYNEVAL_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SYNEVAL_ASAN_FIBERS 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define SYNEVAL_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SYNEVAL_TSAN_FIBERS 1
+#endif
+#endif
+#if defined(SYNEVAL_ASAN_FIBERS)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(SYNEVAL_TSAN_FIBERS)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace syneval {
 
@@ -44,16 +71,116 @@ const char* StateName(int state) {
 }
 
 // Identity of the managed thread currently executing on this OS thread (type-erased; the
-// Tcb type is private to DetRuntime).
+// Tcb type is private to DetRuntime). The driver sets it around each switch.
 thread_local void* g_current_det_tcb = nullptr;
+
+// Fiber stacks: one mapping each, guard page included. MAP_NORESERVE because a trial
+// touches only the top few pages of a stack.
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
+constexpr std::size_t kStackCacheCapacity = 16;
+
+std::size_t PageBytes() {
+  static const std::size_t bytes = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return bytes;
+}
+
+// Freed stacks kept for the next trial on this OS thread; beyond the capacity they are
+// unmapped.
+class StackCache {
+ public:
+  StackCache() = default;
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+  ~StackCache() {
+    for (std::size_t i = 0; i < count_; ++i) {
+      munmap(stacks_[i], kFiberStackBytes);
+    }
+  }
+
+  void* Acquire() {
+    if (count_ > 0) {
+      return stacks_[--count_];
+    }
+    void* base = mmap(nullptr, kFiberStackBytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (base == MAP_FAILED) {
+      throw std::bad_alloc();
+    }
+    // The guard sits at the low end, where a stack growing down runs off.
+    if (mprotect(base, PageBytes(), PROT_NONE) != 0) {
+      munmap(base, kFiberStackBytes);
+      throw std::bad_alloc();
+    }
+    return base;
+  }
+
+  void Release(void* base) {
+    if (count_ < kStackCacheCapacity) {
+      stacks_[count_++] = base;
+    } else {
+      munmap(base, kFiberStackBytes);
+    }
+  }
+
+ private:
+  void* stacks_[kStackCacheCapacity] = {};
+  std::size_t count_ = 0;
+};
+
+thread_local StackCache g_stack_cache;
+
+// Owns one fiber stack; empty until the fiber's first step and again once it finished.
+class FiberStack {
+ public:
+  FiberStack() = default;
+  FiberStack(const FiberStack&) = delete;
+  FiberStack& operator=(const FiberStack&) = delete;
+  ~FiberStack() { Release(); }
+
+  void Acquire() { base_ = g_stack_cache.Acquire(); }
+  void Release() {
+    if (base_ != nullptr) {
+      g_stack_cache.Release(std::exchange(base_, nullptr));
+    }
+  }
+  bool empty() const { return base_ == nullptr; }
+  // The usable range, above the guard page.
+  void* bottom() const { return static_cast<char*>(base_) + PageBytes(); }
+  std::size_t size() const { return kFiberStackBytes - PageBytes(); }
+
+ private:
+  void* base_ = nullptr;
+};
+
+// Sanitizer hooks bracketing every switch; no-ops in plain builds. ASan must learn the
+// stack being entered, or an exception thrown on a fiber unpoisons the wrong range; a
+// null `fake_stack_save` tells it the departing fiber is gone for good, so it frees
+// that fiber's fake stack. TSan keeps one shadow stack per fiber.
+void BeginSwitch([[maybe_unused]] void** fake_stack_save, [[maybe_unused]] const void* bottom,
+                 [[maybe_unused]] std::size_t size, [[maybe_unused]] void* tsan_target) {
+#if defined(SYNEVAL_ASAN_FIBERS)
+  __sanitizer_start_switch_fiber(fake_stack_save, bottom, size);
+#endif
+#if defined(SYNEVAL_TSAN_FIBERS)
+  __tsan_switch_to_fiber(tsan_target, 0);
+#endif
+}
+
+void EndSwitch([[maybe_unused]] void* fake_stack_save,
+               [[maybe_unused]] const void** bottom_old,
+               [[maybe_unused]] std::size_t* size_old) {
+#if defined(SYNEVAL_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(fake_stack_save, bottom_old, size_old);
+#endif
+}
 
 }  // namespace
 
 struct DetRuntime::Tcb {
+  DetRuntime* rt = nullptr;
   std::uint32_t id = 0;
   std::string name;
   int state = kReady;
-  bool token = false;  // Permission to run, granted by the driver.
   std::uint64_t ready_since = 0;
   // Timed condition waits (WaitFor): absolute step at which the driver force-wakes the
   // thread (0 = untimed), and whether the last wake was that deadline rather than a
@@ -65,12 +192,22 @@ struct DetRuntime::Tcb {
   std::string wait_desc;
   std::vector<Tcb*> joiners;
   std::function<void()> body;
-  std::thread os_thread;
+
+  // The fiber, and the driver context it switches back to.
+  FiberStack stack;
+  ucontext_t fiber{};
+  ucontext_t driver{};
+  // Sanitizer switch state (see BeginSwitch).
+  void* asan_fake_stack = nullptr;
+  const void* driver_stack_bottom = nullptr;
+  std::size_t driver_stack_size = 0;
+  void* tsan_fiber = nullptr;
+  void* tsan_driver = nullptr;
 };
 
 // ---------------------------------------------------------------------------------------
-// Primitives. All fields are manipulated under DetRuntime::mu_; since at most one managed
-// thread runs at a time, there is no data-level concurrency beyond that lock.
+// Primitives. Only one managed thread runs at a time, all on the driver's OS thread, so
+// their fields need no lock.
 
 class DetRuntime::DetMutex : public RtMutex {
  public:
@@ -85,28 +222,26 @@ class DetRuntime::DetMutex : public RtMutex {
     if (g_current_det_tcb == nullptr) {
       // Unmanaged caller (e.g. a test inspecting state after Run()): legal only while
       // the scheduler is idle, where the lock is guaranteed free.
-      std::unique_lock<std::mutex> lock(rt_->mu_);
       assert(!rt_->running_ && "DetMutex::Lock from an unmanaged thread during Run()");
       assert(holder_ == nullptr && "DetMutex::Lock: lock leaked by a managed thread");
       holder_ = ExternalOwner();
       return;
     }
     Tcb* self = rt_->CurrentTcbChecked();
-    std::unique_lock<std::mutex> lock(rt_->mu_);
     if (rt_->abort_) {
       return;  // Teardown mode: never block, never mutate logical state.
     }
     if (rt_->options_.preempt_before_lock) {
-      rt_->SwitchOutLocked(lock, self, kReady, nullptr, "preempt before lock");
+      rt_->SwitchOut(self, kReady, nullptr, "preempt before lock");
     }
-    if (FaultDecision fault = rt_->FaultDecisionLocked(self, FaultSite::kLockPre)) {
+    if (FaultDecision fault = rt_->Decide(self, FaultSite::kLockPre)) {
       if (fault.kind == FaultKind::kKillThread) {
         // Before contending: the thread dies holding nothing extra.
         throw ThreadKilledFault{};
       }
       if (fault.kind == FaultKind::kDelayLock) {
         for (std::uint64_t i = 0; i < fault.steps && !rt_->abort_; ++i) {
-          rt_->SwitchOutLocked(lock, self, kReady, nullptr, "fault: delay-lock");
+          rt_->SwitchOut(self, kReady, nullptr, "fault: delay-lock");
         }
       }
     }
@@ -118,17 +253,14 @@ class DetRuntime::DetMutex : public RtMutex {
         det->OnBlock(self->id, this);
       }
       if (flight != nullptr) {
-        // mu_ is held at every site in this file: read step_ directly (NowNanos()
-        // would self-deadlock), matching the tracer convention below.
-        flight->Record(self->id, FlightEventType::kBlock, this, rt_->step_ * 1000);
+        flight->Record(self->id, FlightEventType::kBlock, this, rt_->NowNanos());
       }
-      rt_->SwitchOutLocked(lock, self, kBlockedMutex, this,
-                           "mutex (held by " + holder_->name + ")");
+      rt_->SwitchOut(self, kBlockedMutex, this, "mutex (held by " + holder_->name + ")");
       if (det != nullptr) {
         det->OnWake(self->id, this);
       }
       if (flight != nullptr) {
-        flight->Record(self->id, FlightEventType::kWake, this, rt_->step_ * 1000);
+        flight->Record(self->id, FlightEventType::kWake, this, rt_->NowNanos());
       }
     }
     holder_ = self;
@@ -136,9 +268,9 @@ class DetRuntime::DetMutex : public RtMutex {
       det->OnAcquire(self->id, this);
     }
     if (flight != nullptr) {
-      flight->Record(self->id, FlightEventType::kAcquire, this, rt_->step_ * 1000);
+      flight->Record(self->id, FlightEventType::kAcquire, this, rt_->NowNanos());
     }
-    if (FaultDecision fault = rt_->FaultDecisionLocked(self, FaultSite::kLockPost)) {
+    if (FaultDecision fault = rt_->Decide(self, FaultSite::kLockPost)) {
       if (fault.kind == FaultKind::kKillThread) {
         // Mid-protocol death: the thread dies owning this mutex. Lock() throws before
         // any RAII holder is constructed, so nothing ever unlocks it — peers block on
@@ -149,7 +281,7 @@ class DetRuntime::DetMutex : public RtMutex {
         // Hold the lock for `steps` scheduler steps doing nothing. The staller stays
         // runnable (no deadlock), but every peer needing this lock starves meanwhile.
         for (std::uint64_t i = 0; i < fault.steps && !rt_->abort_; ++i) {
-          rt_->SwitchOutLocked(lock, self, kReady, nullptr, "fault: stall in critical section");
+          rt_->SwitchOut(self, kReady, nullptr, "fault: stall in critical section");
         }
       }
     }
@@ -157,13 +289,11 @@ class DetRuntime::DetMutex : public RtMutex {
 
   void Unlock() override {
     if (g_current_det_tcb == nullptr) {
-      std::unique_lock<std::mutex> lock(rt_->mu_);
       assert(holder_ == ExternalOwner() && "DetMutex::Unlock from an unexpected thread");
       holder_ = nullptr;
       return;
     }
     Tcb* self = rt_->CurrentTcbChecked();
-    std::unique_lock<std::mutex> lock(rt_->mu_);
     if (rt_->abort_) {
       return;
     }
@@ -173,10 +303,10 @@ class DetRuntime::DetMutex : public RtMutex {
       det->OnRelease(self->id, this);
     }
     if (FlightRecorder* flight = rt_->flight_recorder()) {
-      flight->Record(self->id, FlightEventType::kRelease, this, rt_->step_ * 1000);
+      flight->Record(self->id, FlightEventType::kRelease, this, rt_->NowNanos());
     }
     for (Tcb* waiter : waiters_) {
-      rt_->MakeReadyLocked(waiter);
+      rt_->MakeReady(waiter);
     }
     waiters_.clear();
   }
@@ -206,7 +336,6 @@ class DetRuntime::DetCondVar : public RtCondVar {
   bool WaitCommon(RtMutex& mutex, std::uint64_t timeout_nanos) {
     Tcb* self = rt_->CurrentTcbChecked();
     auto* m = static_cast<DetMutex*>(&mutex);
-    std::unique_lock<std::mutex> lock(rt_->mu_);
     if (rt_->abort_) {
       return true;
     }
@@ -214,7 +343,7 @@ class DetRuntime::DetCondVar : public RtCondVar {
     AnomalyDetector* det = rt_->anomaly_detector();
     FlightRecorder* flight = rt_->flight_recorder();
     bool spurious = false;
-    if (FaultDecision fault = rt_->FaultDecisionLocked(self, FaultSite::kWait)) {
+    if (FaultDecision fault = rt_->Decide(self, FaultSite::kWait)) {
       if (fault.kind == FaultKind::kKillThread) {
         // Thrown before the mutex is surrendered: the thread dies owning it.
         throw ThreadKilledFault{};
@@ -229,10 +358,10 @@ class DetRuntime::DetCondVar : public RtCondVar {
       det->OnRelease(self->id, m);
     }
     if (flight != nullptr) {
-      flight->Record(self->id, FlightEventType::kRelease, m, rt_->step_ * 1000);
+      flight->Record(self->id, FlightEventType::kRelease, m, rt_->NowNanos());
     }
     for (Tcb* waiter : m->waiters_) {
-      rt_->MakeReadyLocked(waiter);
+      rt_->MakeReady(waiter);
     }
     m->waiters_.clear();
     bool notified = true;
@@ -240,22 +369,22 @@ class DetRuntime::DetCondVar : public RtCondVar {
       // Spurious-wakeup fault: park for one scheduling step and resume without ever
       // joining the wait set — no signal exists and none is consumed, which is what
       // makes the wakeup spurious to detector and telemetry alike.
-      rt_->SwitchOutLocked(lock, self, kReady, nullptr, "fault: spurious wakeup");
+      rt_->SwitchOut(self, kReady, nullptr, "fault: spurious wakeup");
     } else {
       waiters_.push_back(self);
       if (det != nullptr) {
         det->OnBlock(self->id, this);
       }
       if (flight != nullptr) {
-        flight->Record(self->id, FlightEventType::kBlock, this, rt_->step_ * 1000);
+        flight->Record(self->id, FlightEventType::kBlock, this, rt_->NowNanos());
       }
       if (timeout_nanos > 0) {
         const std::uint64_t budget = (timeout_nanos + 999) / 1000;
         self->wake_deadline = rt_->step_ + (budget == 0 ? 1 : budget);
         self->timed_out = false;
       }
-      rt_->SwitchOutLocked(lock, self, kBlockedCond, this,
-                           timeout_nanos > 0 ? "condvar (timed)" : "condvar");
+      rt_->SwitchOut(self, kBlockedCond, this,
+                     timeout_nanos > 0 ? "condvar (timed)" : "condvar");
       if (timeout_nanos > 0) {
         notified = !self->timed_out;
         self->wake_deadline = 0;
@@ -274,14 +403,13 @@ class DetRuntime::DetCondVar : public RtCondVar {
       }
       if (flight != nullptr) {
         // arg = 1 when the wake was a notification, 0 when the deadline fired.
-        flight->Record(self->id, FlightEventType::kWake, this, rt_->step_ * 1000,
+        flight->Record(self->id, FlightEventType::kWake, this, rt_->NowNanos(),
                        notified ? 1 : 0);
       }
       if (notified) {
         if (TelemetryTracer* tracer = rt_->tracer()) {
-          // rt_->mu_ is held here, so read step_ directly (NowNanos() would
-          // self-deadlock). Timeout wakes draw no flow edge: no signal caused them.
-          tracer->OnWake(this, self->id, rt_->step_ * 1000);
+          // Timeout wakes draw no flow edge: no signal caused them.
+          tracer->OnWake(this, self->id, rt_->NowNanos());
         }
       }
     }
@@ -292,15 +420,15 @@ class DetRuntime::DetCondVar : public RtCondVar {
         det->OnBlock(self->id, m);
       }
       if (flight != nullptr) {
-        flight->Record(self->id, FlightEventType::kBlock, m, rt_->step_ * 1000);
+        flight->Record(self->id, FlightEventType::kBlock, m, rt_->NowNanos());
       }
-      rt_->SwitchOutLocked(lock, self, kBlockedMutex, m,
-                           "mutex reacquire (held by " + m->holder_->name + ")");
+      rt_->SwitchOut(self, kBlockedMutex, m,
+                     "mutex reacquire (held by " + m->holder_->name + ")");
       if (det != nullptr) {
         det->OnWake(self->id, m);
       }
       if (flight != nullptr) {
-        flight->Record(self->id, FlightEventType::kWake, m, rt_->step_ * 1000);
+        flight->Record(self->id, FlightEventType::kWake, m, rt_->NowNanos());
       }
     }
     m->holder_ = self;
@@ -308,7 +436,7 @@ class DetRuntime::DetCondVar : public RtCondVar {
       det->OnAcquire(self->id, m);
     }
     if (flight != nullptr) {
-      flight->Record(self->id, FlightEventType::kAcquire, m, rt_->step_ * 1000);
+      flight->Record(self->id, FlightEventType::kAcquire, m, rt_->NowNanos());
     }
     return notified;
   }
@@ -316,21 +444,19 @@ class DetRuntime::DetCondVar : public RtCondVar {
   void Notify(bool all) {
     if (g_current_det_tcb == nullptr) {
       // Unmanaged caller while the scheduler is idle: just mark waiters runnable.
-      std::unique_lock<std::mutex> lock(rt_->mu_);
       assert(!rt_->running_ && "RtCondVar notify from an unmanaged thread during Run()");
       for (Tcb* waiter : waiters_) {
-        rt_->MakeReadyLocked(waiter);
+        rt_->MakeReady(waiter);
       }
       waiters_.clear();
       return;
     }
     Tcb* self = rt_->CurrentTcbChecked();
-    std::unique_lock<std::mutex> lock(rt_->mu_);
     if (rt_->abort_) {
       return;
     }
-    if (FaultDecision fault = rt_->FaultDecisionLocked(
-            self, all ? FaultSite::kNotifyAll : FaultSite::kNotifyOne)) {
+    if (FaultDecision fault =
+            rt_->Decide(self, all ? FaultSite::kNotifyAll : FaultSite::kNotifyOne)) {
       if (fault.kind == FaultKind::kKillThread) {
         throw ThreadKilledFault{};
       }
@@ -345,19 +471,18 @@ class DetRuntime::DetCondVar : public RtCondVar {
       det->OnSignal(self->id, this, static_cast<int>(waiters_.size()), all);
     }
     if (TelemetryTracer* tracer = rt_->tracer()) {
-      // rt_->mu_ is held here, so read step_ directly (NowNanos() would self-deadlock).
-      tracer->OnSignal(this, self->id, rt_->step_ * 1000, all);
+      tracer->OnSignal(this, self->id, rt_->NowNanos(), all);
     }
     if (FlightRecorder* flight = rt_->flight_recorder()) {
       // arg = waiters before delivery: a signal with arg 0 fell on an empty queue —
       // the seed of every lost wakeup the postmortem explains.
       flight->Record(self->id,
                      all ? FlightEventType::kBroadcast : FlightEventType::kSignal, this,
-                     rt_->step_ * 1000, waiters_.size());
+                     rt_->NowNanos(), waiters_.size());
     }
     if (all) {
       for (Tcb* waiter : waiters_) {
-        rt_->MakeReadyLocked(waiter);
+        rt_->MakeReady(waiter);
       }
       waiters_.clear();
     } else {
@@ -368,13 +493,13 @@ class DetRuntime::DetCondVar : public RtCondVar {
         Tcb* waiter = waiters_.front();
         waiters_.pop_front();
         if (waiter->state == kBlockedCond) {
-          rt_->MakeReadyLocked(waiter);
+          rt_->MakeReady(waiter);
           break;
         }
       }
     }
     if (rt_->options_.preempt_after_notify) {
-      rt_->SwitchOutLocked(lock, self, kReady, nullptr, "preempt after notify");
+      rt_->SwitchOut(self, kReady, nullptr, "preempt after notify");
     }
   }
 
@@ -391,7 +516,6 @@ class DetRuntime::DetThread : public RtThread {
     if (raw != nullptr) {
       // Join from a managed thread: block until the target finishes.
       Tcb* self = static_cast<Tcb*>(raw);
-      std::unique_lock<std::mutex> lock(rt_->mu_);
       if (rt_->abort_ || tcb_->state == kFinished) {
         return;
       }
@@ -400,14 +524,13 @@ class DetRuntime::DetThread : public RtThread {
       if (det != nullptr) {
         det->OnBlock(self->id, tcb_);
       }
-      rt_->SwitchOutLocked(lock, self, kBlockedJoin, tcb_, "join(" + tcb_->name + ")");
+      rt_->SwitchOut(self, kBlockedJoin, tcb_, "join(" + tcb_->name + ")");
       if (det != nullptr) {
         det->OnWake(self->id, tcb_);
       }
     } else {
       // Join from the unmanaged driver thread: only meaningful after Run() returned, at
       // which point every managed thread has finished.
-      std::unique_lock<std::mutex> lock(rt_->mu_);
       assert(!rt_->running_ && "DetThread::Join from the driver while Run() is active");
       assert((tcb_->state == kFinished || !rt_->ran_) &&
              "DetThread::Join from the driver before Run()");
@@ -430,36 +553,18 @@ DetRuntime::DetRuntime(std::unique_ptr<Schedule> schedule, Options options)
     : schedule_(std::move(schedule)), options_(options) {}
 
 DetRuntime::~DetRuntime() {
-  // If Run() was never called (or aborted early), tear down any parked threads.
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto all_finished = [&] {
-    for (auto& tcb : threads_) {
-      if (tcb->state != kFinished) {
-        return false;
-      }
-    }
-    return true;
-  };
-  // Only a teardown has hook traffic to silence. After a finished Run() the detector
-  // is left alone: trials usually declare it after the runtime, so it is gone by now.
-  AnomalyDetector* det = anomaly_detector();
-  if (det != nullptr && !all_finished()) {
+  // If Run() was never called (or an exception escaped it), unwind any parked threads.
+  const bool all_finished = std::all_of(threads_.begin(), threads_.end(),
+                                        [](const auto& tcb) { return tcb->state == kFinished; });
+  if (all_finished) {
+    // Nothing to silence. After a finished Run() the detector is left alone: trials
+    // usually declare it after the runtime, so it is gone by now.
+    return;
+  }
+  if (AnomalyDetector* det = anomaly_detector()) {
     det->SetAborting(true);
   }
-  abort_ = true;
-  for (auto& tcb : threads_) {
-    if (tcb->state != kFinished) {
-      tcb->token = true;
-    }
-  }
-  cv_.notify_all();
-  cv_.wait(lock, all_finished);
-  lock.unlock();
-  for (auto& tcb : threads_) {
-    if (tcb->os_thread.joinable()) {
-      tcb->os_thread.join();
-    }
-  }
+  UnwindThreads();
 }
 
 std::unique_ptr<RtMutex> DetRuntime::CreateMutex() {
@@ -486,9 +591,9 @@ std::unique_ptr<RtCondVar> DetRuntime::CreateCondVar() {
 
 std::unique_ptr<RtThread> DetRuntime::StartThread(std::string name,
                                                   std::function<void()> body) {
-  std::unique_lock<std::mutex> lock(mu_);
   auto tcb = std::make_unique<Tcb>();
   Tcb* raw = tcb.get();
+  raw->rt = this;
   raw->id = static_cast<std::uint32_t>(threads_.size()) + 1;
   raw->name = std::move(name);
   raw->body = std::move(body);
@@ -504,41 +609,6 @@ std::unique_ptr<RtThread> DetRuntime::StartThread(std::string name,
       det->RegisterResource(raw, ResourceKind::kLock, "thread:" + raw->name);
       det->OnAcquire(raw->id, raw);
     }
-    raw->os_thread = std::thread([this, raw] {
-      g_current_det_tcb = raw;
-      bool run_body = false;
-      {
-        std::unique_lock<std::mutex> thread_lock(mu_);
-        cv_.wait(thread_lock, [&] { return raw->token; });
-        run_body = !abort_;
-      }
-      if (run_body) {
-        try {
-          raw->body();
-        } catch (const AbortException&) {
-          // Unwound during teardown; fall through to the finished transition.
-        } catch (const ThreadKilledFault&) {
-          // Killed by an injected kill-thread fault. RAII destructors between the
-          // injection site and here have already run (releasing locks they guard);
-          // anything acquired without a live guard — notably a DetMutex killed inside
-          // its own Lock() — stays held forever, which is the modelled damage.
-        }
-      }
-      {
-        std::unique_lock<std::mutex> thread_lock(mu_);
-        raw->state = kFinished;
-        raw->token = false;
-        if (AnomalyDetector* det = anomaly_detector()) {
-          det->OnRelease(raw->id, raw);
-          det->OnThreadFinish(raw->id);
-        }
-        for (Tcb* joiner : raw->joiners) {
-          MakeReadyLocked(joiner);
-        }
-        raw->joiners.clear();
-        cv_.notify_all();
-      }
-    });
   }
   threads_.push_back(std::move(tcb));
   return std::make_unique<DetThread>(this, raw);
@@ -546,11 +616,10 @@ std::unique_ptr<RtThread> DetRuntime::StartThread(std::string name,
 
 void DetRuntime::Yield() {
   Tcb* self = CurrentTcbChecked();
-  std::unique_lock<std::mutex> lock(mu_);
   if (abort_) {
     return;
   }
-  SwitchOutLocked(lock, self, kReady, nullptr, "yield");
+  SwitchOut(self, kReady, nullptr, "yield");
 }
 
 std::uint32_t DetRuntime::CurrentThreadId() {
@@ -558,14 +627,10 @@ std::uint32_t DetRuntime::CurrentThreadId() {
   return raw == nullptr ? 0 : static_cast<Tcb*>(raw)->id;
 }
 
-std::uint64_t DetRuntime::NowNanos() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return step_ * 1000;
-}
+std::uint64_t DetRuntime::NowNanos() { return step_ * 1000; }
 
 DetRuntime::RunResult DetRuntime::Run() {
   RunResult result;
-  std::unique_lock<std::mutex> lock(mu_);
   assert(!ran_ && "DetRuntime::Run() may be called at most once");
   ran_ = true;
   running_ = true;
@@ -573,12 +638,12 @@ DetRuntime::RunResult DetRuntime::Run() {
   std::vector<Tcb*> ready;
   std::vector<SchedCandidate> candidates;
   while (true) {
-    if (abort_requested_) {
+    if (abort_requested_.load()) {
       // Supervisor-requested end-of-run. The driver holds control, so every
       // non-finished thread is parked at a scheduling point and the wait-for state is
       // diagnosable, exactly as on the deadlock path.
       result.aborted = true;
-      result.report = BuildStuckReportLocked("aborted by supervisor");
+      result.report = BuildStuckReport("aborted by supervisor");
       if (AnomalyDetector* det = anomaly_detector()) {
         det->DiagnoseStuck();
         for (const Anomaly& anomaly : det->anomalies()) {
@@ -587,7 +652,7 @@ DetRuntime::RunResult DetRuntime::Run() {
       }
       break;
     }
-    WakeExpiredTimedWaitersLocked();
+    WakeExpiredTimedWaiters();
     ready.clear();
     candidates.clear();
     bool all_finished = true;
@@ -622,7 +687,7 @@ DetRuntime::RunResult DetRuntime::Run() {
         continue;
       }
       result.deadlocked = true;
-      result.report = BuildStuckReportLocked("deadlock: no runnable threads");
+      result.report = BuildStuckReport("deadlock: no runnable threads");
       if (AnomalyDetector* det = anomaly_detector()) {
         // Exact diagnosis: every thread is parked at a scheduling point, so the
         // wait-for graph is complete and the classification has no false positives.
@@ -635,7 +700,7 @@ DetRuntime::RunResult DetRuntime::Run() {
     }
     if (step_ >= options_.max_steps) {
       result.step_limit = true;
-      result.report = BuildStuckReportLocked("step limit exceeded (possible livelock)");
+      result.report = BuildStuckReport("step limit exceeded (possible livelock)");
       if (options_.diagnose_on_step_limit) {
         if (AnomalyDetector* det = anomaly_detector()) {
           // Every *blocked* thread is parked at a scheduling point, so classifying
@@ -653,98 +718,148 @@ DetRuntime::RunResult DetRuntime::Run() {
     const std::size_t index = schedule_->Pick(candidates, step_);
     Tcb* chosen = ready[index < ready.size() ? index : 0];
     chosen->state = kRunning;
-    chosen->token = true;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return chosen->state != kRunning; });
+    Resume(chosen);
   }
 
   if (!result.completed) {
-    // Teardown: release every stuck thread with the abort flag so it unwinds. Push the
-    // aborting state to the detector first — teardown unwinding (and any faults still
-    // firing during it) must not be observed, or kill-during-teardown plans would be
-    // double-counted as lost wakeups on top of the diagnosis above. The flight recorder
-    // is frozen for the same reason: the unwind replays exit events in OS-scheduling
-    // order, which would put a nondeterministic tail on the postmortem's event window.
+    // Teardown: unwind every stuck thread. Push the aborting state to the detector
+    // first — teardown unwinding (and any faults still firing during it) must not be
+    // observed, or kill-during-teardown plans would be double-counted as lost wakeups
+    // on top of the diagnosis above. The flight recorder is frozen for the same
+    // reason: the postmortem's event window ends at the diagnosis.
     if (AnomalyDetector* det = anomaly_detector()) {
       det->SetAborting(true);
     }
     if (FlightRecorder* flight = flight_recorder()) {
       flight->Freeze();
     }
-    abort_ = true;
-    for (auto& tcb : threads_) {
-      if (tcb->state != kFinished) {
-        tcb->token = true;
-      }
-    }
-    cv_.notify_all();
-    cv_.wait(lock, [&] {
-      for (auto& tcb : threads_) {
-        if (tcb->state != kFinished) {
-          return false;
-        }
-      }
-      return true;
-    });
+    UnwindThreads();
   }
   running_ = false;
   result.steps = step_;
-  lock.unlock();
-  for (auto& tcb : threads_) {
-    if (tcb->os_thread.joinable()) {
-      tcb->os_thread.join();
-    }
-  }
   return result;
 }
 
-bool DetRuntime::Aborting() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return abort_;
-}
+bool DetRuntime::Aborting() const { return abort_; }
 
 void DetRuntime::RequestAbort() {
-  std::lock_guard<std::mutex> lock(mu_);
-  abort_requested_ = true;
   // The driver acts on the flag at its next scheduling decision — i.e. as soon as the
-  // currently running managed thread (if any) reaches a scheduling point. The notify
-  // covers the no-runnable-threads windows where the driver sleeps in cv_.wait.
-  cv_.notify_all();
+  // currently running managed thread (if any) reaches a scheduling point.
+  abort_requested_.store(true);
 }
 
-void DetRuntime::SwitchOutLocked(std::unique_lock<std::mutex>& lock, Tcb* tcb, int state,
-                                 const void* wait_object, std::string wait_desc) {
+void DetRuntime::FiberMain() noexcept {
+  Tcb* tcb = static_cast<Tcb*>(g_current_det_tcb);
+  EndSwitch(nullptr, &tcb->driver_stack_bottom, &tcb->driver_stack_size);
+  try {
+    tcb->body();
+  } catch (const AbortException&) {
+    // Unwound during teardown; fall through to the finished transition.
+  } catch (const ThreadKilledFault&) {
+    // Killed by an injected kill-thread fault. RAII destructors between the injection
+    // site and here have already run (releasing locks they guard); anything acquired
+    // without a live guard — notably a DetMutex killed inside its own Lock() — stays
+    // held forever, which is the modelled damage.
+  }
+  tcb->rt->FinishThread(tcb);
+  // Final exit: a null fake-stack slot lets ASan free this fiber's fake stack. The
+  // driver never resumes this context.
+  BeginSwitch(nullptr, tcb->driver_stack_bottom, tcb->driver_stack_size, tcb->tsan_driver);
+  setcontext(&tcb->driver);
+}
+
+void DetRuntime::Resume(Tcb* tcb) {
+  if (tcb->stack.empty()) {
+    tcb->stack.Acquire();
+    getcontext(&tcb->fiber);
+    tcb->fiber.uc_stack.ss_sp = tcb->stack.bottom();
+    tcb->fiber.uc_stack.ss_size = tcb->stack.size();
+    tcb->fiber.uc_link = nullptr;
+    makecontext(&tcb->fiber, &DetRuntime::FiberMain, 0);
+#if defined(SYNEVAL_TSAN_FIBERS)
+    tcb->tsan_fiber = __tsan_create_fiber(0);
+#endif
+  }
+#if defined(SYNEVAL_TSAN_FIBERS)
+  tcb->tsan_driver = __tsan_get_current_fiber();
+#endif
+  void* const previous = std::exchange(g_current_det_tcb, tcb);
+  void* driver_fake_stack = nullptr;
+  BeginSwitch(&driver_fake_stack, tcb->stack.bottom(), tcb->stack.size(), tcb->tsan_fiber);
+  swapcontext(&tcb->driver, &tcb->fiber);
+  EndSwitch(driver_fake_stack, nullptr, nullptr);
+  g_current_det_tcb = previous;
+  if (tcb->state == kFinished) {
+#if defined(SYNEVAL_TSAN_FIBERS)
+    __tsan_destroy_fiber(tcb->tsan_fiber);
+    tcb->tsan_fiber = nullptr;
+#endif
+    tcb->stack.Release();
+  }
+}
+
+void DetRuntime::SwitchOut(Tcb* tcb, int state, const void* wait_object,
+                           std::string wait_desc) {
   if (abort_) {
     throw AbortException{};
   }
   tcb->state = state;
-  tcb->token = false;
   tcb->wait_object = wait_object;
   tcb->wait_desc = std::move(wait_desc);
   if (state == kReady) {
     tcb->ready_since = step_;
   }
-  cv_.notify_all();
-  cv_.wait(lock, [&] { return tcb->token; });
+  BeginSwitch(&tcb->asan_fake_stack, tcb->driver_stack_bottom, tcb->driver_stack_size,
+              tcb->tsan_driver);
+  swapcontext(&tcb->fiber, &tcb->driver);
+  EndSwitch(tcb->asan_fake_stack, &tcb->driver_stack_bottom, &tcb->driver_stack_size);
   if (abort_) {
     throw AbortException{};
   }
-  // The driver set state to kRunning when granting the token.
+  // The driver set state to kRunning when it chose this thread.
   tcb->wait_object = nullptr;
   tcb->wait_desc.clear();
 }
 
-FaultDecision DetRuntime::FaultDecisionLocked(Tcb* tcb, FaultSite site) {
+void DetRuntime::FinishThread(Tcb* tcb) {
+  tcb->state = kFinished;
+  if (AnomalyDetector* det = anomaly_detector()) {
+    det->OnRelease(tcb->id, tcb);
+    det->OnThreadFinish(tcb->id);
+  }
+  for (Tcb* joiner : tcb->joiners) {
+    MakeReady(joiner);
+  }
+  tcb->joiners.clear();
+}
+
+void DetRuntime::UnwindThreads() {
+  abort_ = true;
+  // By index: an unwinding thread may still call StartThread, which appends a thread
+  // born finished.
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    Tcb* tcb = threads_[i].get();
+    if (tcb->state == kFinished) {
+      continue;
+    }
+    if (tcb->stack.empty()) {
+      FinishThread(tcb);  // Never ran: there is no stack to unwind.
+    } else {
+      Resume(tcb);  // Its SwitchOut throws AbortException on the fiber's own stack.
+    }
+    assert(tcb->state == kFinished && "a managed thread survived teardown");
+  }
+}
+
+FaultDecision DetRuntime::Decide(Tcb* tcb, FaultSite site) {
   FaultInjector* injector = fault_injector();
   if (injector == nullptr || abort_) {
     return FaultDecision{};
   }
-  // mu_ is held: read step_ directly (NowNanos() would self-deadlock). The injector's
-  // own mutex is a leaf, strictly after mu_ in the lock order.
-  return injector->Decide(site, tcb->id, step_ * 1000);
+  return injector->Decide(site, tcb->id, NowNanos());
 }
 
-void DetRuntime::WakeExpiredTimedWaitersLocked() {
+void DetRuntime::WakeExpiredTimedWaiters() {
   for (auto& tcb : threads_) {
     if (tcb->state == kBlockedCond && tcb->wake_deadline != 0 && step_ >= tcb->wake_deadline) {
       // The waiter resumes with timed_out set and removes itself from its condvar's
@@ -756,7 +871,7 @@ void DetRuntime::WakeExpiredTimedWaitersLocked() {
   }
 }
 
-void DetRuntime::MakeReadyLocked(Tcb* tcb) {
+void DetRuntime::MakeReady(Tcb* tcb) {
   if (tcb->state == kBlockedMutex || tcb->state == kBlockedCond || tcb->state == kBlockedJoin) {
     tcb->state = kReady;
     tcb->ready_since = step_;
@@ -769,7 +884,7 @@ DetRuntime::Tcb* DetRuntime::CurrentTcbChecked() const {
   return static_cast<Tcb*>(raw);
 }
 
-std::string DetRuntime::BuildStuckReportLocked(const char* reason) {
+std::string DetRuntime::BuildStuckReport(const char* reason) {
   std::ostringstream os;
   os << reason << " after " << step_ << " steps (schedule: " << schedule_->Describe() << ")\n";
   for (auto& tcb : threads_) {

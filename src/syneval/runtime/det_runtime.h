@@ -13,6 +13,33 @@
 // [Lister 77] discussed in Sections 2 and 5.2 of the paper, rather than merely assert
 // that it would happen.
 //
+// Execution model. A managed thread is a ucontext fiber, not an OS thread: every fiber
+// of a runtime runs on the OS thread that calls Run() (the driver), which swaps into
+// the chosen fiber and gets control back when that fiber reaches its next scheduling
+// point. A step is therefore two user-space context switches, with no OS thread
+// creation or wakeup anywhere in a trial. Each fiber gets a 256 KiB stack mapped on its
+// first step, whose lowest page is a PROT_NONE guard, so a managed thread that
+// overflows its stack dies of SIGSEGV (a crash record under the supervisor's sandbox)
+// instead of corrupting a neighbouring mapping. Finished fibers return their stacks to
+// a cache of 16 per OS thread, which serves the next trial on that thread. Teardown
+// (deadlock, step limit, abort, or destroying a runtime whose threads have not all
+// finished) resumes each parked fiber in thread-id order; it unwinds with an internal
+// exception inside its own stack.
+//
+// Consequences for managed code:
+//   - Fibers share their driver's thread_locals. The ones the library keeps —
+//     g_trial_capture (core/conformance.cc), g_trial_abort_slot (runtime/supervisor.cc)
+//     and the metrics shard slot (telemetry/metrics.cc) — are per driver thread, which
+//     is correct: they describe the trial, not a logical thread, and only one fiber
+//     runs at a time. Code that wants per-logical-thread state uses
+//     CurrentThreadId().
+//   - Managed code must not reach a scheduling point inside a `catch` handler. The C++
+//     runtime keeps its caught-exception stack per OS thread, so a fiber parked in a
+//     handler would see another fiber's exceptions pushed onto it. Destructors that run
+//     during unwinding may reach scheduling points: an exception in flight is not on
+//     that stack until a handler catches it.
+//   - The runtime must be destroyed on the thread that called Run().
+//
 // Usage:
 //   DetRuntime rt(std::make_unique<RandomSchedule>(seed));
 //   auto t1 = rt.StartThread("producer", [&] { ... });
@@ -23,14 +50,11 @@
 #ifndef SYNEVAL_RUNTIME_DET_RUNTIME_H_
 #define SYNEVAL_RUNTIME_DET_RUNTIME_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "syneval/fault/injector.h"
@@ -86,8 +110,9 @@ class DetRuntime : public Runtime {
   bool Aborting() const override;
 
   // Drives the schedule until every managed thread finished, deadlock, or step limit.
-  // Must be called from the (unmanaged) thread that constructed the runtime, at most
-  // once. Threads may still be started from inside managed threads while running.
+  // Must be called from an unmanaged thread, at most once; every managed thread runs
+  // on the calling thread. Threads may still be started from inside managed threads
+  // while running.
   RunResult Run();
 
   // Asks the driver to end the run at its next scheduling decision: the run reports
@@ -109,38 +134,49 @@ class DetRuntime : public Runtime {
   // Thrown inside managed threads to unwind them during post-deadlock teardown.
   struct AbortException {};
 
-  // Transfers control from the calling managed thread back to the driver, leaving the
-  // thread in `state` (kReady for a yield, blocked states otherwise). Called with mu_
-  // held; returns with mu_ held once the driver grants the token again.
-  void SwitchOutLocked(std::unique_lock<std::mutex>& lock, Tcb* tcb, int state,
-                       const void* wait_object, std::string wait_desc);
+  // Entry point of every fiber; finds its Tcb through the current-thread slot.
+  static void FiberMain() noexcept;
 
-  // Marks a thread runnable (driver or running peer has mu_ held).
-  void MakeReadyLocked(Tcb* tcb);
+  // Driver side: runs `tcb`'s fiber (mapping its stack on the first call) until it
+  // reaches a scheduling point or finishes.
+  void Resume(Tcb* tcb);
+
+  // Transfers control from the calling managed thread back to the driver, leaving the
+  // thread in `state` (kReady for a yield, blocked states otherwise); returns once the
+  // driver resumes it. Throws AbortException when resumed for teardown.
+  void SwitchOut(Tcb* tcb, int state, const void* wait_object, std::string wait_desc);
+
+  // The finished transition: releases the thread's self-lock and wakes its joiners.
+  void FinishThread(Tcb* tcb);
+
+  // Sets the abort flag and resumes every unfinished thread in id order so it unwinds.
+  void UnwindThreads();
+
+  // Marks a blocked thread runnable.
+  void MakeReady(Tcb* tcb);
 
   // Consults the attached fault injector (if any) at `site` for the calling thread.
-  // Called with mu_ held; never fires during teardown.
-  FaultDecision FaultDecisionLocked(Tcb* tcb, FaultSite site);
+  // Never fires during teardown.
+  FaultDecision Decide(Tcb* tcb, FaultSite site);
 
-  // Marks every timed waiter whose virtual deadline has passed runnable. Called by the
-  // driver with mu_ held.
-  void WakeExpiredTimedWaitersLocked();
+  // Marks every timed waiter whose virtual deadline has passed runnable.
+  void WakeExpiredTimedWaiters();
 
   // Requires a managed calling thread; returns its Tcb.
   Tcb* CurrentTcbChecked() const;
 
-  std::string BuildStuckReportLocked(const char* reason);
+  std::string BuildStuckReport(const char* reason);
 
   std::unique_ptr<Schedule> schedule_;
   Options options_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<std::unique_ptr<Tcb>> threads_;
   std::uint64_t step_ = 0;
   bool running_ = false;
   bool abort_ = false;
-  bool abort_requested_ = false;  // RequestAbort() fired; driver acts at the next step.
+  // RequestAbort() fired; the driver acts at the next step. The only state another OS
+  // thread (a supervisor's reaper) touches.
+  std::atomic<bool> abort_requested_{false};
   bool ran_ = false;
 };
 

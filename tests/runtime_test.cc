@@ -1,17 +1,24 @@
 // DetRuntime semantics: exclusivity, determinism, blocking, deadlock detection,
-// schedule strategies, and interleaving exploration.
+// schedule strategies, interleaving exploration, and the fiber lifecycle.
 
+#include <atomic>
+#include <chrono>
+#include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "syneval/runtime/det_runtime.h"
 #include "syneval/runtime/explore.h"
+#include "syneval/fault/fault.h"
 #include "syneval/runtime/os_runtime.h"
+#include "syneval/runtime/parallel_sweep.h"
 #include "syneval/runtime/schedule.h"
 
 namespace syneval {
@@ -321,6 +328,204 @@ TEST(DetRuntimeTest, CustomStepLimitIsRespected) {
   const DetRuntime::RunResult result = rt.Run();
   EXPECT_TRUE(result.step_limit);
   EXPECT_LE(result.steps, 26u);
+}
+
+// ---- Fiber lifecycle ------------------------------------------------------------------
+
+// Round-robin until `throw_at`, then throws out of Run() with every fiber still parked.
+class ThrowingSchedule : public Schedule {
+ public:
+  explicit ThrowingSchedule(std::uint64_t throw_at) : throw_at_(throw_at) {}
+  std::size_t Pick(const std::vector<SchedCandidate>& candidates, std::uint64_t step) override {
+    if (step >= throw_at_) {
+      throw std::runtime_error("schedule gave up");
+    }
+    return static_cast<std::size_t>(step) % candidates.size();
+  }
+  std::string Describe() const override { return "throwing"; }
+
+ private:
+  std::uint64_t throw_at_;
+};
+
+// Runs a callback when destroyed, i.e. also while an exception unwinds the thread.
+struct OnExit {
+  std::function<void()> fn;
+  ~OnExit() { fn(); }
+};
+
+TEST(DetRuntimeFiberTest, DestroyingARuntimeWhoseThreadsNeverRanRunsNoBody) {
+  int bodies = 0;
+  {
+    DetRuntime rt(std::make_unique<RandomSchedule>(1));
+    std::vector<std::unique_ptr<RtThread>> threads;
+    for (int i = 0; i < 3; ++i) {
+      threads.push_back(rt.StartThread("idle", [&] { ++bodies; }));
+    }
+  }
+  EXPECT_EQ(bodies, 0);
+}
+
+TEST(DetRuntimeFiberTest, DestroyingARuntimeMidRunUnwindsEveryParkedThread) {
+  int started = 0;
+  int unwound = 0;
+  int finished = 0;
+  {
+    DetRuntime rt(std::make_unique<ThrowingSchedule>(8));
+    std::vector<std::unique_ptr<RtThread>> threads;
+    for (int i = 0; i < 3; ++i) {
+      threads.push_back(rt.StartThread("worker", [&] {
+        ++started;
+        OnExit guard{[&] { ++unwound; }};
+        for (int k = 0; k < 10; ++k) {
+          rt.Yield();
+        }
+        ++finished;
+      }));
+    }
+    EXPECT_THROW(rt.Run(), std::runtime_error);
+  }
+  EXPECT_GT(started, 0);
+  EXPECT_EQ(unwound, started);
+  EXPECT_EQ(finished, 0);
+}
+
+TEST(DetRuntimeFiberTest, ThreadsStartedInsideManagedThreadsRunOrAreBornFinished) {
+  DetRuntime rt(std::make_unique<RandomSchedule>(3));
+  auto mu = rt.CreateMutex();
+  auto cv = rt.CreateCondVar();
+  std::vector<std::unique_ptr<RtThread>> spawned;
+  int leaves = 0;
+  int late_bodies = 0;
+  auto root = rt.StartThread("root", [&] {
+    for (int i = 0; i < 2; ++i) {
+      spawned.push_back(rt.StartThread("mid", [&] {
+        auto leaf = rt.StartThread("leaf", [&] { ++leaves; });
+        leaf->Join();
+      }));
+    }
+    // Started while the deadlock teardown unwinds this thread: too late to run.
+    OnExit late{[&] { spawned.push_back(rt.StartThread("late", [&] { ++late_bodies; })); }};
+    RtLock lock(*mu);
+    cv->Wait(*mu);  // Never notified.
+  });
+  const DetRuntime::RunResult result = rt.Run();
+  EXPECT_TRUE(result.deadlocked) << result.report;
+  EXPECT_EQ(leaves, 2);
+  EXPECT_EQ(spawned.size(), 3u);
+  EXPECT_EQ(late_bodies, 0);
+}
+
+TEST(DetRuntimeFiberTest, RequestAbortFromAForeignThreadEndsAYieldLoop) {
+  DetRuntime::Options options;
+  options.max_steps = std::numeric_limits<std::uint64_t>::max();
+  DetRuntime rt(std::make_unique<RandomSchedule>(4), options);
+  std::atomic<bool> spinning{false};
+  std::vector<std::unique_ptr<RtThread>> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.push_back(rt.StartThread("spinner", [&] {
+      spinning.store(true);
+      while (true) {
+        rt.Yield();
+      }
+    }));
+  }
+  std::thread aborter([&] {
+    while (!spinning.load()) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    rt.RequestAbort();
+  });
+  const DetRuntime::RunResult result = rt.Run();
+  aborter.join();
+  EXPECT_TRUE(result.aborted);
+  EXPECT_FALSE(result.completed);
+  EXPECT_GT(result.steps, 0u);
+}
+
+// All fibers share their OS thread's C++ exception state. A thread unwinding from a
+// kill may park in a destructor (here: NotifyAll's preempt_after_notify point) while a
+// peer throws and catches; both must see their own exceptions, and the unwinding
+// thread must resume with its exception still in flight.
+TEST(DetRuntimeFiberTest, KilledThreadParksMidUnwindWhileAPeerThrowsAndCatches) {
+  DetRuntime rt(std::make_unique<RoundRobinSchedule>());
+  auto cv = rt.CreateCondVar();
+  bool victim_unwinding = false;
+  int in_flight_after_park = -1;
+  bool victim_survived_kill = false;
+  int caught = 0;
+  int caught_during_unwind = 0;
+  auto victim = rt.StartThread("victim", [&] {
+    OnExit guard{[&] {
+      victim_unwinding = true;
+      cv->NotifyAll();  // A scheduling point, reached during unwinding.
+      victim_unwinding = false;
+      in_flight_after_park = std::uncaught_exceptions();
+    }};
+    rt.Yield();
+    throw ThreadKilledFault{};
+    victim_survived_kill = true;
+  });
+  auto peer = rt.StartThread("peer", [&] {
+    for (int i = 0; i < 6; ++i) {
+      const std::string expected = "peer " + std::to_string(i);
+      try {
+        throw std::runtime_error(expected);
+      } catch (const std::runtime_error& e) {
+        if (e.what() == expected) {
+          ++caught;
+          caught_during_unwind += victim_unwinding ? 1 : 0;
+        }
+      }
+      rt.Yield();
+    }
+  });
+  const DetRuntime::RunResult result = rt.Run();
+  ASSERT_TRUE(result.completed) << result.report;
+  EXPECT_FALSE(victim_survived_kill);
+  EXPECT_EQ(caught, 6);
+  EXPECT_GT(caught_during_unwind, 0) << "the peer never ran while the victim was parked";
+  EXPECT_EQ(in_flight_after_park, 1);
+}
+
+// Each pool worker drives its own runtimes, so each uses its own stack cache; thread
+// counts up to 21 per trial overflow the 16-stack cache, exercising the unmap path too.
+TEST(DetRuntimeFiberTest, PoolWorkersDriveRuntimesConcurrently) {
+  const std::function<std::string(std::uint64_t)> trial = [](std::uint64_t seed) {
+    DetRuntime rt(MakeRandomSchedule(seed));
+    auto mu = rt.CreateMutex();
+    int counter = 0;
+    const int threads = 2 + static_cast<int>(seed % 20);
+    std::vector<std::unique_ptr<RtThread>> handles;
+    for (int i = 0; i < threads; ++i) {
+      handles.push_back(rt.StartThread("inc", [&] {
+        for (int k = 0; k < 5; ++k) {
+          RtLock lock(*mu);
+          const int read = counter;
+          rt.Yield();
+          counter = read + 1;
+        }
+      }));
+    }
+    const DetRuntime::RunResult result = rt.Run();
+    if (!result.completed) {
+      return result.report;
+    }
+    return counter == threads * 5 ? std::string() : "lost update";
+  };
+  ParallelOptions serial;
+  ParallelOptions pool;
+  pool.jobs = 2;
+  pool.chunk_seeds = 1;
+  const ParallelSweepResult one = ParallelSweepSchedules(60, trial, 1, serial);
+  const ParallelSweepResult two = ParallelSweepSchedules(60, trial, 1, pool);
+  EXPECT_TRUE(one.outcome.AllPassed()) << one.outcome.first_failure;
+  EXPECT_TRUE(two.outcome.AllPassed()) << two.outcome.first_failure;
+  EXPECT_EQ(two.outcome.runs, 60);
+  ASSERT_EQ(two.workers.size(), 2u);
+  EXPECT_GT(two.workers[0].trials, 0);
+  EXPECT_GT(two.workers[1].trials, 0);
 }
 
 TEST(SweepTest, OutcomeAggregatesCorrectly) {

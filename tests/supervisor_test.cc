@@ -28,7 +28,9 @@
 #include "syneval/fault/chaos.h"
 #include "syneval/fault/fault.h"
 #include "syneval/runtime/checkpoint.h"
+#include "syneval/runtime/det_runtime.h"
 #include "syneval/runtime/os_runtime.h"
+#include "syneval/runtime/schedule.h"
 #include "syneval/runtime/supervisor.h"
 
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
@@ -656,6 +658,42 @@ TEST(SupervisorSandboxTest, SegfaultingChildBecomesStructuredCrash) {
       }),
       /*seed=*/1, options, &stats);
   EXPECT_TRUE(result.crashed);
+  EXPECT_EQ(result.crash.signal_number, SIGSEGV);
+  EXPECT_NE(result.crash.what.find("SIGSEGV"), std::string::npos) << result.crash.what;
+  EXPECT_EQ(stats.crashed, 1);
+}
+
+// Recurses with the caller's frame kept live (the callee reads it), so no tail call or
+// loop can replace the frames.
+[[gnu::noinline]] int Recurse(std::uint64_t depth, volatile char* parent) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(parent[0] + 1);
+  if (depth == 0) {
+    return frame[0];
+  }
+  return Recurse(depth - 1, frame) + frame[1];
+}
+
+TEST(SupervisorSandboxTest, ManagedThreadOverflowingItsFiberStackBecomesACrash) {
+  SupervisorOptions options = FastOptions();
+  options.sandbox = true;
+  options.trial_deadline = milliseconds(5000);
+  SupervisorStats stats;
+  const SupervisedTrialResult result = RunSupervisedSeed(
+      [](std::uint64_t seed) {
+        DetRuntime rt(MakeRandomSchedule(seed));
+        auto deep = rt.StartThread("deep", [] {
+          volatile char root[1] = {0};
+          Recurse(std::uint64_t{1} << 20, root);  // 512 MiB of frames.
+        });
+        const DetRuntime::RunResult run = rt.Run();
+        TrialReport report;
+        report.message = run.completed ? "overflow went unnoticed" : run.report;
+        return report;
+      },
+      /*seed=*/1, options, &stats);
+  EXPECT_TRUE(result.crashed) << result.report.message;
+  EXPECT_FALSE(result.reaped);
   EXPECT_EQ(result.crash.signal_number, SIGSEGV);
   EXPECT_NE(result.crash.what.find("SIGSEGV"), std::string::npos) << result.crash.what;
   EXPECT_EQ(stats.crashed, 1);
