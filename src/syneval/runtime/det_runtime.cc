@@ -1,15 +1,19 @@
 #include "syneval/runtime/det_runtime.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <new>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "syneval/anomaly/detector.h"
@@ -32,6 +36,7 @@
 #endif
 #endif
 #if defined(SYNEVAL_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(SYNEVAL_TSAN_FIBERS)
@@ -152,6 +157,101 @@ class FiberStack {
   void* base_ = nullptr;
 };
 
+// The context switch. A FiberContext is what a suspended context resumes from, and
+// SwitchFiber(from, to) suspends the caller into `from` and resumes `to`. On x86-64 a
+// context is one saved stack pointer: the switch pushes rbp, rbx and r12-r15 and the
+// MXCSR and x87 control words onto the departing stack, stores its stack pointer, loads
+// the other one and pops the same frame from it. That is everything the System V ABI
+// has a call preserve, so a switch makes no syscall; swapcontext also saves and
+// restores the signal mask, with an rt_sigprocmask call each way. Elsewhere a context
+// is a ucontext_t.
+#if defined(__x86_64__)
+
+}  // namespace
+
+extern "C" void syneval_det_switch(void** save_sp, void* load_sp);
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl syneval_det_switch
+  .hidden syneval_det_switch
+  .type syneval_det_switch, @function
+syneval_det_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size syneval_det_switch, .-syneval_det_switch
+  .popsection
+)");
+
+namespace {
+
+struct FiberContext {
+  void* sp = nullptr;
+};
+
+// Prepares `ctx` so that the first switch to it enters `entry`, which must never
+// return, on the stack [bottom, bottom + size). The frame mirrors what the switch
+// pops: the current FP control words, six zeroed registers (rbp = 0 ends frame-pointer
+// walks), `entry` as the return address, and above it a null return address for
+// `entry` itself, where unwinding stops. `entry` starts with the stack aligned as a
+// call leaves it.
+void MakeFiberContext(FiberContext* ctx, void* bottom, std::size_t size, void (*entry)()) {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_control = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(x87_control));
+  auto* top = reinterpret_cast<std::uint64_t*>(
+      (reinterpret_cast<std::uintptr_t>(bottom) + size) & ~std::uintptr_t{15});
+  std::uint64_t* frame = top - 9;
+  frame[0] = mxcsr | (std::uint64_t{x87_control} << 32);
+  for (int i = 1; i <= 6; ++i) {
+    frame[i] = 0;  // r15, r14, r13, r12, rbx, rbp.
+  }
+  frame[7] = reinterpret_cast<std::uint64_t>(entry);
+  frame[8] = 0;
+  ctx->sp = frame;
+}
+
+void SwitchFiber(FiberContext* from, FiberContext* to) { syneval_det_switch(&from->sp, to->sp); }
+
+#else
+
+struct FiberContext {
+  ucontext_t uc{};
+};
+
+void MakeFiberContext(FiberContext* ctx, void* bottom, std::size_t size, void (*entry)()) {
+  getcontext(&ctx->uc);
+  ctx->uc.uc_stack.ss_sp = bottom;
+  ctx->uc.uc_stack.ss_size = size;
+  ctx->uc.uc_link = nullptr;
+  makecontext(&ctx->uc, entry, 0);
+}
+
+void SwitchFiber(FiberContext* from, FiberContext* to) { swapcontext(&from->uc, &to->uc); }
+
+#endif
+
 // Sanitizer hooks bracketing every switch; no-ops in plain builds. ASan must learn the
 // stack being entered, or an exception thrown on a fiber unpoisons the wrong range; a
 // null `fake_stack_save` tells it the departing fiber is gone for good, so it frees
@@ -195,8 +295,8 @@ struct DetRuntime::Tcb {
 
   // The fiber, and the driver context it switches back to.
   FiberStack stack;
-  ucontext_t fiber{};
-  ucontext_t driver{};
+  FiberContext fiber;
+  FiberContext driver;
   // Sanitizer switch state (see BeginSwitch).
   void* asan_fake_stack = nullptr;
   const void* driver_stack_bottom = nullptr;
@@ -765,17 +865,20 @@ void DetRuntime::FiberMain() noexcept {
   // Final exit: a null fake-stack slot lets ASan free this fiber's fake stack. The
   // driver never resumes this context.
   BeginSwitch(nullptr, tcb->driver_stack_bottom, tcb->driver_stack_size, tcb->tsan_driver);
-  setcontext(&tcb->driver);
+  SwitchFiber(&tcb->fiber, &tcb->driver);
+  __builtin_unreachable();
 }
 
 void DetRuntime::Resume(Tcb* tcb) {
   if (tcb->stack.empty()) {
     tcb->stack.Acquire();
-    getcontext(&tcb->fiber);
-    tcb->fiber.uc_stack.ss_sp = tcb->stack.bottom();
-    tcb->fiber.uc_stack.ss_size = tcb->stack.size();
-    tcb->fiber.uc_link = nullptr;
-    makecontext(&tcb->fiber, &DetRuntime::FiberMain, 0);
+#if defined(SYNEVAL_ASAN_FIBERS)
+    // A reused stack still carries the shadow of its last fiber's frames, which the
+    // initial frame would trip over.
+    __asan_unpoison_memory_region(tcb->stack.bottom(), tcb->stack.size());
+#endif
+    MakeFiberContext(&tcb->fiber, tcb->stack.bottom(), tcb->stack.size(),
+                     &DetRuntime::FiberMain);
 #if defined(SYNEVAL_TSAN_FIBERS)
     tcb->tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -786,7 +889,7 @@ void DetRuntime::Resume(Tcb* tcb) {
   void* const previous = std::exchange(g_current_det_tcb, tcb);
   void* driver_fake_stack = nullptr;
   BeginSwitch(&driver_fake_stack, tcb->stack.bottom(), tcb->stack.size(), tcb->tsan_fiber);
-  swapcontext(&tcb->driver, &tcb->fiber);
+  SwitchFiber(&tcb->driver, &tcb->fiber);
   EndSwitch(driver_fake_stack, nullptr, nullptr);
   g_current_det_tcb = previous;
   if (tcb->state == kFinished) {
@@ -799,19 +902,19 @@ void DetRuntime::Resume(Tcb* tcb) {
 }
 
 void DetRuntime::SwitchOut(Tcb* tcb, int state, const void* wait_object,
-                           std::string wait_desc) {
+                           std::string_view wait_desc) {
   if (abort_) {
     throw AbortException{};
   }
   tcb->state = state;
   tcb->wait_object = wait_object;
-  tcb->wait_desc = std::move(wait_desc);
+  tcb->wait_desc.assign(wait_desc);  // Reuses the buffer: no allocation per step.
   if (state == kReady) {
     tcb->ready_since = step_;
   }
   BeginSwitch(&tcb->asan_fake_stack, tcb->driver_stack_bottom, tcb->driver_stack_size,
               tcb->tsan_driver);
-  swapcontext(&tcb->fiber, &tcb->driver);
+  SwitchFiber(&tcb->fiber, &tcb->driver);
   EndSwitch(tcb->asan_fake_stack, &tcb->driver_stack_bottom, &tcb->driver_stack_size);
   if (abort_) {
     throw AbortException{};

@@ -13,11 +13,14 @@
 // [Lister 77] discussed in Sections 2 and 5.2 of the paper, rather than merely assert
 // that it would happen.
 //
-// Execution model. A managed thread is a ucontext fiber, not an OS thread: every fiber
-// of a runtime runs on the OS thread that calls Run() (the driver), which swaps into
-// the chosen fiber and gets control back when that fiber reaches its next scheduling
-// point. A step is therefore two user-space context switches, with no OS thread
-// creation or wakeup anywhere in a trial. Each fiber gets a 256 KiB stack mapped on its
+// Execution model. A managed thread is a fiber, not an OS thread: every fiber of a
+// runtime runs on the OS thread that calls Run() (the driver), which switches into the
+// chosen fiber and gets control back when that fiber reaches its next scheduling
+// point. A step is therefore two context switches in user space, with no OS thread
+// creation or wakeup anywhere in a trial. On x86-64 a switch is a register switch that
+// makes no syscall: it saves the callee-saved registers and the FP control words, so
+// the rounding mode is per fiber. Other architectures use swapcontext, which also
+// saves the signal mask with a syscall. Each fiber gets a 256 KiB stack mapped on its
 // first step, whose lowest page is a PROT_NONE guard, so a managed thread that
 // overflows its stack dies of SIGSEGV (a crash record under the supervisor's sandbox)
 // instead of corrupting a neighbouring mapping. Finished fibers return their stacks to
@@ -38,6 +41,8 @@
 //     handler would see another fiber's exceptions pushed onto it. Destructors that run
 //     during unwinding may reach scheduling points: an exception in flight is not on
 //     that stack until a handler catches it.
+//   - The signal mask is per OS thread, not per fiber: on x86-64 a fiber that changed
+//     it would change it for every fiber of its driver. Nothing in src/ changes it.
 //   - The runtime must be destroyed on the thread that called Run().
 //
 // Usage:
@@ -55,6 +60,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "syneval/fault/injector.h"
@@ -144,7 +150,7 @@ class DetRuntime : public Runtime {
   // Transfers control from the calling managed thread back to the driver, leaving the
   // thread in `state` (kReady for a yield, blocked states otherwise); returns once the
   // driver resumes it. Throws AbortException when resumed for teardown.
-  void SwitchOut(Tcb* tcb, int state, const void* wait_object, std::string wait_desc);
+  void SwitchOut(Tcb* tcb, int state, const void* wait_object, std::string_view wait_desc);
 
   // The finished transition: releases the thread's self-lock and wakes its joiners.
   void FinishThread(Tcb* tcb);

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,9 +72,10 @@ TEST(OsStressTest, MonitorBoundedBuffer) { StressBoundedBuffer<MonitorBoundedBuf
 TEST(OsStressTest, PathBoundedBuffer) { StressBoundedBuffer<PathBoundedBuffer>(); }
 TEST(OsStressTest, SerializerBoundedBuffer) { StressBoundedBuffer<SerializerBoundedBuffer>(); }
 
+// Runs the readers/writers workload and returns `check` applied to its trace.
 template <typename Rw>
-void StressReadersWriters(RwPolicy policy, RwStrictness strictness) {
-  RunSandboxed([policy, strictness](OsRuntime& rt) {
+void StressReadersWriters(const std::function<std::string(const std::vector<Event>&)>& check) {
+  RunSandboxed([&check](OsRuntime& rt) {
     TraceRecorder trace;
     Rw rw(rt);
     RwWorkloadParams params;
@@ -86,7 +88,14 @@ void StressReadersWriters(RwPolicy policy, RwStrictness strictness) {
     params.think_work = 0;
     ThreadList threads = SpawnReadersWritersWorkload(rt, rw, trace, params);
     JoinAll(threads);
-    return CheckReadersWriters(trace.Events(), policy, 1000, strictness);
+    return check(trace.Events());
+  });
+}
+
+template <typename Rw>
+void StressReadersWriters(RwPolicy policy, RwStrictness strictness) {
+  StressReadersWriters<Rw>([policy, strictness](const std::vector<Event>& events) {
+    return CheckReadersWriters(events, policy, 1000, strictness);
   });
 }
 
@@ -113,9 +122,15 @@ TEST(OsStressTest, SerializerFcfs) {
   StressReadersWriters<SerializerRwFcfs>(RwPolicy::kFcfs, RwStrictness::kStrict);
 }
 
-TEST(OsStressTest, SemaphoreReadersPriorityLenient) {
-  StressReadersWriters<SemaphoreRwReadersPriority>(RwPolicy::kReadersPriority,
-                                                   RwStrictness::kArrivalOrder);
+// CHP algorithm 1 over weak semaphores does not guarantee readers priority: a writer
+// that arrives later may take `w` ahead of the first blocked reader. The conformance
+// suite registers that case ("CHP algorithm 1 (weak semaphores: priority not
+// guaranteed)", core/conformance.cc) with expect_violations, and the predicted-violation
+// ledger in EXPERIMENTS.md agrees. What holds on every run is writer exclusion.
+TEST(OsStressTest, SemaphoreReadersPriorityExcludesWriters) {
+  StressReadersWriters<SemaphoreRwReadersPriority>([](const std::vector<Event>& events) {
+    return CheckExclusion(GroupExecutions(events), {"write"}, {});
+  });
 }
 
 template <typename Scheduler>

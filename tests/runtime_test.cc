@@ -2,7 +2,10 @@
 // schedule strategies, interleaving exploration, and the fiber lifecycle.
 
 #include <atomic>
+#include <cfenv>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <exception>
 #include <functional>
 #include <limits>
@@ -526,6 +529,112 @@ TEST(DetRuntimeFiberTest, PoolWorkersDriveRuntimesConcurrently) {
   ASSERT_EQ(two.workers.size(), 2u);
   EXPECT_GT(two.workers[0].trials, 0);
   EXPECT_GT(two.workers[1].trials, 0);
+}
+
+// ---- What the context switch preserves -------------------------------------------------
+
+// Round-robin, recording the rounding mode the driver sees at every decision.
+class RoundingProbeSchedule : public Schedule {
+ public:
+  std::size_t Pick(const std::vector<SchedCandidate>& candidates, std::uint64_t step) override {
+    if (fegetround() != FE_TONEAREST) {
+      ++driver_saw_other_mode;
+    }
+    return inner_.Pick(candidates, step);
+  }
+  std::string Describe() const override { return "rounding-probe"; }
+
+  int driver_saw_other_mode = 0;
+
+ private:
+  RoundRobinSchedule inner_;
+};
+
+// The FP control words belong to the context, as they did under swapcontext: a
+// rounding mode one fiber sets stays invisible to its siblings and to the driver, and
+// is still set when that fiber resumes.
+TEST(DetRuntimeFiberTest, RoundingModeIsPerFiber) {
+  auto owned = std::make_unique<RoundingProbeSchedule>();
+  RoundingProbeSchedule* probe = owned.get();
+  DetRuntime rt(std::move(owned));
+  bool set = false;
+  bool sibling_read = false;
+  int sibling_mode = -1;
+  int resumed_mode = -1;
+  auto setter = rt.StartThread("setter", [&] {
+    fesetround(FE_UPWARD);
+    set = true;
+    while (!sibling_read) {
+      rt.Yield();
+    }
+    resumed_mode = fegetround();
+  });
+  auto sibling = rt.StartThread("sibling", [&] {
+    while (!set) {
+      rt.Yield();
+    }
+    sibling_mode = fegetround();
+    sibling_read = true;
+  });
+  const DetRuntime::RunResult result = rt.Run();
+  ASSERT_TRUE(result.completed) << result.report;
+  EXPECT_EQ(sibling_mode, FE_TONEAREST);
+  EXPECT_EQ(resumed_mode, FE_UPWARD);
+  EXPECT_EQ(probe->driver_saw_other_mode, 0);
+  EXPECT_EQ(fegetround(), FE_TONEAREST);
+}
+
+// A fiber's first step runs on its fresh entry frame. printf's SSE code and a 16-byte
+// aligned local both rely on the alignment a call leaves, which that frame must copy.
+TEST(DetRuntimeFiberTest, FirstStepRunsOnAnAlignedStack) {
+  DetRuntime rt(std::make_unique<RoundRobinSchedule>());
+  std::string formatted;
+  std::uintptr_t misalignment = 1;
+  auto first = rt.StartThread("first", [&] {
+    alignas(16) char local[16];
+    // Through a volatile, so the compiler cannot fold the check to the declared alignment.
+    volatile std::uintptr_t address = reinterpret_cast<std::uintptr_t>(&local[0]);
+    misalignment = address % 16;
+    char buffer[32];
+    std::snprintf(buffer, sizeof(buffer), "%.3f", 2.5);
+    formatted = buffer;
+  });
+  const DetRuntime::RunResult result = rt.Run();
+  ASSERT_TRUE(result.completed) << result.report;
+  EXPECT_EQ(misalignment, 0u);
+  EXPECT_EQ(formatted, "2.500");
+}
+
+// Back-to-back runtimes on one thread reuse cached stacks, which still hold the frames
+// (and, under ASan, the shadow) of their last fibers. Each runtime starts more fibers
+// than the 16-stack cache holds and leaves one for the deadlock teardown to unwind.
+TEST(DetRuntimeFiberTest, BackToBackRuntimesReuseCachedStacks) {
+  for (std::uint64_t run = 1; run <= 64; ++run) {
+    DetRuntime rt(MakeRandomSchedule(run));
+    auto mu = rt.CreateMutex();
+    auto cv = rt.CreateCondVar();
+    int finished = 0;
+    int unwound = 0;
+    std::vector<std::unique_ptr<RtThread>> threads;
+    for (int i = 0; i < 20; ++i) {
+      threads.push_back(rt.StartThread("worker", [&, i] {
+        char buffer[64];
+        std::snprintf(buffer, sizeof(buffer), "worker %d of run %llu", i,
+                      static_cast<unsigned long long>(run));
+        rt.Yield();
+        finished += buffer[0] == 'w' ? 1 : 0;
+      }));
+    }
+    threads.push_back(rt.StartThread("stuck", [&] {
+      OnExit guard{[&] { ++unwound; }};
+      RtLock lock(*mu);
+      cv->Wait(*mu);  // Never notified.
+    }));
+    const DetRuntime::RunResult result = rt.Run();
+    ASSERT_TRUE(result.deadlocked) << "run " << run << ": " << result.report;
+    ASSERT_EQ(finished, 20) << "run " << run;
+    ASSERT_EQ(unwound, 1) << "run " << run;
+  }
 }
 
 TEST(SweepTest, OutcomeAggregatesCorrectly) {
