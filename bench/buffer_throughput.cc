@@ -13,8 +13,8 @@
 #include "syneval/problems/oracles.h"
 #include "syneval/problems/workloads.h"
 #include "syneval/runtime/os_runtime.h"
+#include "syneval/telemetry/flight_recorder.h"
 #include "syneval/telemetry/perfetto.h"
-#include "syneval/telemetry/tracer.h"
 #include "syneval/solutions/ccr_solutions.h"
 #include "syneval/solutions/csp_solutions.h"
 #include "syneval/solutions/monitor_solutions.h"
@@ -112,25 +112,29 @@ void Report(bench::Reporter& reporter, const char* mechanism, const char* proble
   reporter.Add(mechanism, problem, "oracle_ok", measured.oracle.empty() ? 1 : 0, "bool");
 }
 
-// --trace=<path>: one extra (untimed) monitor bounded-buffer pass with the tracer
-// attached, exported as Chrome trace_event JSON for ui.perfetto.dev. Kept out of the
-// measured runs — tracer recording takes a mutex.
+// --trace=<path>: one extra (untimed) monitor bounded-buffer pass with a flight
+// recorder attached, exported as Chrome trace_event JSON for ui.perfetto.dev; the
+// recorder's signal→wakeup pairs become the trace's flow arrows. Kept out of the
+// measured runs.
 void ExportSampleTrace(const std::string& path) {
-  OsRuntime rt;
-  TelemetryTracer tracer;
-  rt.AttachTracer(&tracer);
-  TraceRecorder trace;
-  MonitorBoundedBuffer buffer(rt, 8);
   BufferWorkloadParams params;
   params.producers = 2;
   params.consumers = 2;
   params.items_per_producer = 200;
   params.work = 0;
+  OsRuntime rt;
+  // One ring per worker, first segment sized at eight events per item; rings grow
+  // if the run records more.
+  FlightRecorder flight(FlightRecorder::Options::ForWorkload(
+      params.producers + params.consumers, 8 * params.items_per_producer));
+  rt.AttachFlightRecorder(&flight);
+  TraceRecorder trace;
+  MonitorBoundedBuffer buffer(rt, 8);
   ThreadList threads = SpawnBoundedBufferWorkload(rt, buffer, trace, params);
   JoinAll(threads);
   ChromeTraceOptions trace_options;
   trace_options.process_name = "buffer_throughput";
-  if (WriteChromeTrace(path, trace.Events(), &tracer, trace_options)) {
+  if (WriteChromeTrace(path, trace.Events(), &flight, nullptr, trace_options)) {
     std::printf("wrote Perfetto trace to %s (load at ui.perfetto.dev)\n", path.c_str());
   } else {
     std::printf("failed to write Perfetto trace to %s\n", path.c_str());

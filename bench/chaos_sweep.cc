@@ -12,8 +12,8 @@
 // any false positive anywhere, or — with telemetry compiled in — a postmortem naming
 // a cause other than the injected fault family).
 //
-// --trace=<path> replays the first flagged trial with the tracer attached and exports
-// a Perfetto trace with the postmortem narrative overlaid as a "postmortem" track.
+// --trace=<path> replays the first flagged trial and exports a Perfetto trace with the
+// postmortem narrative overlaid as a "postmortem" track.
 //
 // --soak=1 runs the supervised long-soak configuration: every trial executes under a
 // wall-clock deadline (runtime/supervisor.h; default 2s, override with
@@ -36,7 +36,6 @@
 #include "syneval/runtime/checkpoint.h"
 #include "syneval/telemetry/perfetto.h"
 #include "syneval/telemetry/telemetry.h"
-#include "syneval/telemetry/tracer.h"
 
 namespace {
 
@@ -60,13 +59,12 @@ void ExportPostmortemTrace(const std::string& path,
                   static_cast<unsigned long long>(stored.seed));
       return;
     }
-    syneval::TelemetryTracer tracer;
-    replay->postmortem.AddToTracer(tracer);
     syneval::ChromeTraceOptions trace_options;
     trace_options.process_name = "chaos_sweep " + row.problem + "/" +
                                  std::string(syneval::MechanismName(row.mechanism)) +
                                  " " + row.fault;
-    if (syneval::WriteChromeTrace(path, replay->events, &tracer, trace_options)) {
+    if (syneval::WriteChromeTrace(path, replay->events, nullptr, &replay->postmortem,
+                                  trace_options)) {
       std::printf("wrote Perfetto trace of %s seed %llu (cause: %s) to %s\n",
                   row.fault.c_str(), static_cast<unsigned long long>(stored.seed),
                   replay->postmortem.cause.c_str(), path.c_str());

@@ -30,7 +30,6 @@
 #include "syneval/telemetry/flight_recorder.h"
 #include "syneval/telemetry/perfetto.h"
 #include "syneval/telemetry/postmortem.h"
-#include "syneval/telemetry/tracer.h"
 
 namespace {
 
@@ -206,12 +205,11 @@ int main(int argc, char** argv) {
   }
 
   if (!options.trace_path.empty()) {
-    TelemetryTracer tracer;
-    replay.postmortem.AddToTracer(tracer);
     ChromeTraceOptions trace_options;
     trace_options.process_name =
         "syneval_postmortem " + label_problem + "/" + label_mechanism;
-    if (WriteChromeTrace(options.trace_path, replay.events, &tracer, trace_options)) {
+    if (WriteChromeTrace(options.trace_path, replay.events, nullptr, &replay.postmortem,
+                         trace_options)) {
       std::printf("wrote Perfetto trace to %s\n", options.trace_path.c_str());
     } else {
       std::printf("failed to write Perfetto trace to %s\n", options.trace_path.c_str());

@@ -6,8 +6,8 @@
 // scorecard — counts, failing seeds, first-failure messages — is bit-identical to the
 // serial sweep, so --jobs only changes the wall time reported at the bottom.
 //
-// --trace=<path> replays the first anomalous trial with the tracer attached and
-// exports a Perfetto trace with the postmortem narrative overlaid.
+// --trace=<path> replays the first anomalous trial and exports a Perfetto trace with
+// the postmortem narrative overlaid.
 
 #include <cstdio>
 #include <memory>
@@ -17,7 +17,6 @@
 #include "syneval/runtime/checkpoint.h"
 #include "syneval/core/scorecard.h"
 #include "syneval/telemetry/perfetto.h"
-#include "syneval/telemetry/tracer.h"
 
 namespace {
 
@@ -32,12 +31,10 @@ void ExportPostmortemTrace(const std::string& path,
     }
     const SeedPostmortem& stored = result.outcome.postmortems.front();
     const ConformanceReplay replay = ReplayConformanceTrial(result.spec, stored.seed);
-    TelemetryTracer tracer;
-    replay.postmortem.AddToTracer(tracer);
     ChromeTraceOptions trace_options;
     trace_options.process_name = "table_conformance " + result.spec.problem + "/" +
                                  std::string(MechanismName(result.spec.mechanism));
-    if (WriteChromeTrace(path, replay.events, &tracer, trace_options)) {
+    if (WriteChromeTrace(path, replay.events, nullptr, &replay.postmortem, trace_options)) {
       std::printf("wrote Perfetto trace of %s/%s seed %llu (cause: %s) to %s\n",
                   result.spec.problem.c_str(), MechanismName(result.spec.mechanism),
                   static_cast<unsigned long long>(stored.seed),

@@ -6,7 +6,6 @@
 #include "syneval/runtime/runtime.h"
 #include "syneval/telemetry/flight_recorder.h"
 #include "syneval/telemetry/metrics.h"
-#include "syneval/telemetry/tracer.h"
 
 namespace syneval {
 
@@ -54,11 +53,8 @@ FaultDecision FaultInjector::Decide(FaultSite site, std::uint32_t thread,
   }
   if (decision.fired && runtime_ != nullptr) {
     // Telemetry sits after the injector in the lock order; emit outside mu_ so the
-    // tracer/registry locks are leaves here too.
+    // registry lock is a leaf here too.
     const std::string name = std::string("fault.") + FaultKindName(decision.kind);
-    if (TelemetryTracer* tracer = runtime_->tracer()) {
-      tracer->AddInstant(thread, name, "fault", now_nanos);
-    }
     if (MetricsRegistry* metrics = runtime_->metrics()) {
       metrics->GetCounter("fault/injected_total").Add(1);
       metrics->GetCounter(name).Add(1);

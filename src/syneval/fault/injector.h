@@ -8,14 +8,15 @@
 // that fires — so at most one fault is injected per site visit.
 //
 // Every fired fault is recorded (kind, site, thread, timestamp) and mirrored into the
-// attached telemetry as a named instant event "fault.<kind>" plus fault/* counters, so
-// a Perfetto trace of a chaos run shows exactly what was injected where.
+// attached telemetry as a kFaultFired flight event labelled "fault.<kind>" plus
+// fault/* counters, so a Perfetto trace of a chaos run shows exactly what was injected
+// where.
 //
 // Locking: the injector has its own leaf mutex. Decide() may be called with runtime
 // scheduler locks held, so it must never call back into runtime or detector objects;
 // timestamps are therefore passed *in* by the caller rather than read via
-// Runtime::NowNanos(), and the only outward calls are to the TelemetryTracer /
-// MetricsRegistry, which sit strictly later in the lock order.
+// Runtime::NowNanos(), and the only outward calls are to the MetricsRegistry and the
+// FlightRecorder, which sit strictly later in the lock order.
 //
 // Determinism: under DetRuntime, sites are visited in schedule order, so
 // (plan, schedule seed) fully determines the injection sequence. Under OsRuntime the

@@ -19,7 +19,6 @@
 #include "syneval/anomaly/detector.h"
 #include "syneval/fault/fault.h"
 #include "syneval/telemetry/flight_recorder.h"
-#include "syneval/telemetry/tracer.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define SYNEVAL_ASAN_FIBERS 1
@@ -506,12 +505,6 @@ class DetRuntime::DetCondVar : public RtCondVar {
         flight->Record(self->id, FlightEventType::kWake, this, rt_->NowNanos(),
                        notified ? 1 : 0);
       }
-      if (notified) {
-        if (TelemetryTracer* tracer = rt_->tracer()) {
-          // Timeout wakes draw no flow edge: no signal caused them.
-          tracer->OnWake(this, self->id, rt_->NowNanos());
-        }
-      }
     }
     // Re-acquire the mutex before returning (possibly blocking again).
     while (m->holder_ != nullptr) {
@@ -562,16 +555,14 @@ class DetRuntime::DetCondVar : public RtCondVar {
       }
       if (fault.kind == FaultKind::kDropSignal) {
         // The notify vanishes below the mechanism: no waiter wakes and neither the
-        // detector's signal accounting nor the tracer's flow edge ever sees it — a
-        // ground-truth lost signal the detector must infer from its consequences.
+        // detector's signal accounting nor the flight recorder (whose kSignal draws
+        // the trace's flow edge) ever sees it — a ground-truth lost signal the
+        // detector must infer from its consequences.
         return;
       }
     }
     if (AnomalyDetector* det = rt_->anomaly_detector()) {
       det->OnSignal(self->id, this, static_cast<int>(waiters_.size()), all);
-    }
-    if (TelemetryTracer* tracer = rt_->tracer()) {
-      tracer->OnSignal(this, self->id, rt_->NowNanos(), all);
     }
     if (FlightRecorder* flight = rt_->flight_recorder()) {
       // arg = waiters before delivery: a signal with arg 0 fell on an empty queue —

@@ -16,7 +16,6 @@
 #include "syneval/telemetry/flight_recorder.h"
 #include "syneval/telemetry/metrics.h"
 #include "syneval/telemetry/postmortem.h"
-#include "syneval/telemetry/tracer.h"
 
 namespace syneval {
 
@@ -251,9 +250,8 @@ class OsCondVar : public RtCondVar {
       }
     }
     AnomalyDetector* det = rt_->anomaly_detector();
-    TelemetryTracer* tracer = rt_->tracer();
     FlightRecorder* flight = rt_->flight_recorder();
-    if (det == nullptr && tracer == nullptr && flight == nullptr) {
+    if (det == nullptr && flight == nullptr) {
       return WaitBlocking(mutex, timeout_nanos);
     }
     const std::uint32_t tid = rt_->CurrentThreadId();
@@ -284,10 +282,6 @@ class OsCondVar : public RtCondVar {
       // deadline fired — the discriminator the postmortem uses for stuck-waiter stories.
       flight->Record(tid, FlightEventType::kWake, this, FlightNowNanos(rt_),
                      notified ? 1 : 0);
-    }
-    if (notified && tracer != nullptr) {
-      // Timeout wakes draw no flow edge: no signal caused them.
-      tracer->OnWake(this, tid, rt_->NowNanos());
     }
     waiting_.fetch_sub(1, std::memory_order_relaxed);
     return notified;
@@ -351,9 +345,6 @@ class OsCondVar : public RtCondVar {
     AnomalyDetector* det = rt_->anomaly_detector();
     if (det != nullptr) {
       det->OnSignal(rt_->CurrentThreadId(), this, waiting, broadcast);
-    }
-    if (TelemetryTracer* tracer = rt_->tracer()) {
-      tracer->OnSignal(this, rt_->CurrentThreadId(), rt_->NowNanos(), broadcast);
     }
     if (FlightRecorder* flight = rt_->flight_recorder()) {
       // arg = waiters at delivery; a signal with arg 0 hit an empty queue. Empty-queue

@@ -31,7 +31,6 @@ class AnomalyDetector;
 class FaultInjector;
 class FlightRecorder;
 class MetricsRegistry;
-class TelemetryTracer;
 struct MechanismStats;
 
 // A mutual-exclusion lock. Non-recursive. Also satisfies BasicLockable (lowercase
@@ -137,16 +136,12 @@ class Runtime {
   void AttachMetrics(MetricsRegistry* metrics) { metrics_ = metrics; }
   MetricsRegistry* metrics() const { return metrics_; }
 
-  // Attaches a tracer; the runtime's condition variables then record signal→wakeup
-  // flow edges into it (see syneval/telemetry/tracer.h). Attach before threads start.
-  void AttachTracer(TelemetryTracer* tracer) { tracer_ = tracer; }
-  TelemetryTracer* tracer() const { return tracer_; }
-
   // Attaches the always-on flight recorder (telemetry/flight_recorder.h): both
   // runtimes then record compact sync events (block/wake/acquire/release/signal)
-  // into its lock-free rings, and the fault injector mirrors fired faults. Unlike the
-  // tracer, the recorder is cheap enough to stay attached during steady-state
-  // measurement. Attach before primitives are created so their names register.
+  // into its lock-free rings, and the fault injector mirrors fired faults. The
+  // recorder is cheap enough to stay attached during steady-state measurement, and
+  // the Perfetto exporter draws signal→wakeup flows from it (telemetry/perfetto.h).
+  // Attach before primitives are created so their names register.
   void AttachFlightRecorder(FlightRecorder* recorder) { flight_recorder_ = recorder; }
   FlightRecorder* flight_recorder() const { return flight_recorder_; }
 
@@ -154,7 +149,6 @@ class Runtime {
   AnomalyDetector* anomaly_detector_ = nullptr;
   FaultInjector* fault_injector_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
-  TelemetryTracer* tracer_ = nullptr;
   FlightRecorder* flight_recorder_ = nullptr;
 };
 #else
@@ -162,8 +156,6 @@ class Runtime {
   // accessors are constant null, so instrumentation branches fold away entirely.
   void AttachMetrics(MetricsRegistry*) {}
   static constexpr MetricsRegistry* metrics() { return nullptr; }
-  void AttachTracer(TelemetryTracer*) {}
-  static constexpr TelemetryTracer* tracer() { return nullptr; }
   void AttachFlightRecorder(FlightRecorder*) {}
   static constexpr FlightRecorder* flight_recorder() { return nullptr; }
 

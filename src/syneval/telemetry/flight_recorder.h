@@ -1,13 +1,14 @@
 // FlightRecorder: always-on, fixed-capacity, lock-free rings of compact sync events.
 //
-// The tracer (tracer.h) and the trace recorder (trace/recorder.h) both take a mutex per
-// record, so the docs warn against attaching them during steady-state measurement —
-// which means the run that actually exhibits a deadlock or lost wakeup usually has no
-// timeline to explain it from. The flight recorder closes that gap: both runtimes (and
-// the fault injector, and mechanisms with implicit signalling) record every
-// synchronization state change into per-thread ring buffers cheap enough to leave on
-// while measuring. When an anomaly fires, postmortem.h snapshots the rings and
-// reconstructs a causal narrative from the last events before the run got stuck.
+// The trace recorder (trace/recorder.h) takes a mutex per record, so the docs warn
+// against attaching it during steady-state measurement — which means the run that
+// actually exhibits a deadlock or lost wakeup usually has no timeline to explain it
+// from. The flight recorder closes that gap: both runtimes (and the fault injector, and
+// mechanisms with implicit signalling) record every synchronization state change into
+// per-thread ring buffers cheap enough to leave on while measuring. When an anomaly
+// fires, postmortem.h snapshots the rings and reconstructs a causal narrative from the
+// last events before the run got stuck; the Perfetto exporter (perfetto.h) draws the
+// rings' signal→wakeup pairs as flow arrows and fired faults as instants.
 //
 // Recording cost and memory model:
 //   * One relaxed fetch_add on a global sequence counter (its own cache line), one
@@ -28,7 +29,7 @@
 //
 // The recorder attaches through the Runtime telemetry seam
 // (Runtime::AttachFlightRecorder) and every instrumentation site compiles out under
-// -DSYNEVAL_TELEMETRY=OFF exactly like the metrics/tracer sites.
+// -DSYNEVAL_TELEMETRY=OFF exactly like the metrics sites.
 
 #ifndef SYNEVAL_TELEMETRY_FLIGHT_RECORDER_H_
 #define SYNEVAL_TELEMETRY_FLIGHT_RECORDER_H_

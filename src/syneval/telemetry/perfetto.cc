@@ -6,7 +6,9 @@
 #include <map>
 #include <set>
 
+#include "syneval/telemetry/flight_recorder.h"
 #include "syneval/telemetry/metrics.h"
+#include "syneval/telemetry/postmortem.h"
 
 namespace syneval {
 
@@ -66,7 +68,7 @@ void AppendEvent(std::string& out, const JsonEvent& event, int pid, bool& first)
 }  // namespace
 
 std::string ExportChromeTrace(const std::vector<Event>& events,
-                              const TelemetryTracer* tracer,
+                              const FlightRecorder* flight, const Postmortem* postmortem,
                               const ChromeTraceOptions& options) {
   std::vector<JsonEvent> out_events;
   std::set<std::uint32_t> threads;
@@ -134,33 +136,71 @@ std::string ExportChromeTrace(const std::vector<Event>& events,
     }
   }
 
-  if (tracer != nullptr) {
-    for (const TelemetryTracer::Record& record : tracer->Snapshot()) {
-      threads.insert(record.thread);
+  // Signal→wakeup flows and fired faults, replayed from the flight rings in seq order.
+  if (flight != nullptr) {
+    std::map<const void*, std::uint64_t> open_flow;  // resource → its latest flow id.
+    std::uint64_t next_flow_id = 1;
+    for (const FlightEvent& record : flight->Snapshot()) {
       JsonEvent event;
       event.tid = record.thread;
-      event.name = record.name;
-      event.category = record.category;
-      event.ts_us = static_cast<double>(record.start_ns) / 1000.0;
+      event.category = "sync";
+      event.ts_us = static_cast<double>(record.time_nanos) / 1000.0;
       switch (record.type) {
-        case TelemetryTracer::RecordType::kSpan:
-          event.ph = 'X';
-          event.dur_us = std::max(
-              0.0, static_cast<double>(record.end_ns - record.start_ns) / 1000.0);
-          break;
-        case TelemetryTracer::RecordType::kInstant:
-          event.ph = 'i';
-          break;
-        case TelemetryTracer::RecordType::kFlowStart:
+        case FlightEventType::kSignal:
+        case FlightEventType::kBroadcast:
           event.ph = 's';
-          event.id = record.flow_id;
+          event.name = record.type == FlightEventType::kSignal ? "signal" : "broadcast";
+          event.id = next_flow_id++;
+          open_flow[record.resource] = event.id;
           break;
-        case TelemetryTracer::RecordType::kFlowEnd:
+        case FlightEventType::kWake: {
+          // Only a notified wake (arg 1) closes a flow: deadline and mutex wakes
+          // (arg 0) were caused by no signal.
+          const auto it = open_flow.find(record.resource);
+          if (record.arg != 1 || it == open_flow.end()) {
+            continue;
+          }
           event.ph = 'f';
-          event.id = record.flow_id;
+          event.name = "wakeup";
+          event.id = it->second;
           break;
+        }
+        case FlightEventType::kFaultFired:
+          event.ph = 'i';
+          event.name = flight->NameOf(record.resource);
+          event.category = "fault";
+          break;
+        default:
+          continue;
       }
+      threads.insert(record.thread);
       out_events.push_back(std::move(event));
+    }
+  }
+
+  // The postmortem overlay: one span covering the window plus an instant per event.
+  if (postmortem != nullptr && !postmortem->window.empty()) {
+    const std::uint64_t start = postmortem->window.front().time_nanos;
+    const std::uint64_t back = postmortem->window.back().time_nanos;
+    const std::uint64_t end = back > start ? back : start + 1;
+    JsonEvent span;
+    span.ph = 'X';
+    span.tid = 0;
+    span.name = "postmortem: " + postmortem->cause;
+    span.category = "postmortem";
+    span.ts_us = static_cast<double>(start) / 1000.0;
+    span.dur_us = static_cast<double>(end - start) / 1000.0;
+    threads.insert(0);
+    out_events.push_back(std::move(span));
+    for (const PostmortemEvent& record : postmortem->window) {
+      JsonEvent instant;
+      instant.ph = 'i';
+      instant.tid = record.thread;
+      instant.name = record.type + " " + record.resource;
+      instant.category = "postmortem";
+      instant.ts_us = static_cast<double>(record.time_nanos) / 1000.0;
+      threads.insert(record.thread);
+      out_events.push_back(std::move(instant));
     }
   }
 
@@ -194,12 +234,13 @@ std::string ExportChromeTrace(const std::vector<Event>& events,
 }
 
 bool WriteChromeTrace(const std::string& path, const std::vector<Event>& events,
-                      const TelemetryTracer* tracer, const ChromeTraceOptions& options) {
+                      const FlightRecorder* flight, const Postmortem* postmortem,
+                      const ChromeTraceOptions& options) {
   std::ofstream file(path);
   if (!file) {
     return false;
   }
-  file << ExportChromeTrace(events, tracer, options);
+  file << ExportChromeTrace(events, flight, postmortem, options);
   return static_cast<bool>(file);
 }
 

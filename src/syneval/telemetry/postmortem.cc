@@ -7,7 +7,6 @@
 
 #include "syneval/anomaly/detector.h"
 #include "syneval/telemetry/metrics.h"
-#include "syneval/telemetry/tracer.h"
 
 namespace syneval {
 
@@ -313,20 +312,6 @@ std::string Postmortem::ToJson() const {
   out += "],\"events_recorded\":" + std::to_string(events_recorded) +
          ",\"events_evicted\":" + std::to_string(events_evicted) + "}";
   return out;
-}
-
-void Postmortem::AddToTracer(TelemetryTracer& tracer) const {
-  if (window.empty()) {
-    return;
-  }
-  const std::uint64_t start = window.front().time_nanos;
-  const std::uint64_t end = window.back().time_nanos;
-  tracer.AddSpan(0, "postmortem: " + cause, "postmortem", start,
-                 end > start ? end : start + 1);
-  for (const PostmortemEvent& event : window) {
-    tracer.AddInstant(event.thread, event.type + " " + event.resource, "postmortem",
-                      event.time_nanos);
-  }
 }
 
 }  // namespace syneval

@@ -21,7 +21,8 @@
 //
 // The result renders three ways: ToText (diagnostics, test failure dumps, the
 // syneval_postmortem CLI), ToJson (the additive `postmortem` key of bench schema v3),
-// and AddToTracer (a Perfetto slice + instants laid over the run's timeline).
+// and the Perfetto exporter's overlay (perfetto.h: a slice + instants laid over the
+// run's timeline).
 
 #ifndef SYNEVAL_TELEMETRY_POSTMORTEM_H_
 #define SYNEVAL_TELEMETRY_POSTMORTEM_H_
@@ -36,7 +37,6 @@
 namespace syneval {
 
 class AnomalyDetector;
-class TelemetryTracer;
 
 // One decoded, name-resolved event of the postmortem window.
 struct PostmortemEvent {
@@ -73,10 +73,6 @@ struct Postmortem {
   // "events_recorded":N,"events_evicted":M}. Embedded verbatim by the bench reporter
   // under the schema-v3 `postmortem` key.
   std::string ToJson() const;
-
-  // Lays the postmortem over the trace timeline: one "postmortem: <cause>" span
-  // covering the window plus an instant per window event, category "postmortem".
-  void AddToTracer(TelemetryTracer& tracer) const;
 };
 
 struct PostmortemOptions {

@@ -1,6 +1,6 @@
 // Telemetry compile-time switch.
 //
-// The telemetry layer (metrics registry, tracer, Perfetto exporter) is the repository's
+// The telemetry layer (metrics registry, flight recorder, Perfetto exporter) is the repository's
 // measurement substrate: every mechanism self-instruments against it, so its hot-path
 // cost must be controllable. The CMake option SYNEVAL_TELEMETRY (default ON) governs
 // SYNEVAL_TELEMETRY_ENABLED; when OFF the Runtime attachment points collapse to

@@ -43,9 +43,9 @@ struct Event {
   std::string op;                 // Operation (request type), e.g. "read", "deposit".
   std::int64_t param = 0;         // Request parameter (track number, wake time, ...).
   std::int64_t value = 0;         // Payload observed (buffer item, ticket, ...).
-  std::uint64_t wall_ns = 0;      // Wall-clock stamp (0 unless the recorder has a
-                                  // clock attached; see TraceRecorder::SetClock).
-                                  // Oracles ignore it; the Perfetto exporter uses it.
+  std::uint64_t wall_ns = 0;      // Wall-clock stamp, 0 unless the caller that built
+                                  // the Event set it. Oracles ignore it; the Perfetto
+                                  // exporter and FlightRecorder::OnTraceEvent use it.
 
   // Renders "seq=12 t3 enter read(param=7)" style text for diagnostics.
   std::string ToString() const;

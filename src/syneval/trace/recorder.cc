@@ -41,9 +41,6 @@ std::uint64_t TraceRecorder::Record(Event event) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     event.seq = next_seq_++;
-    if (event.wall_ns == 0 && clock_) {
-      event.wall_ns = clock_();
-    }
     seq = event.seq;
     if (observer_ != nullptr || secondary_observer_ != nullptr) {
       observer = observer_;

@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -63,12 +62,6 @@ class TraceRecorder {
   // set-before-writers rules as SetObserver.
   void SetSecondaryObserver(TraceObserver* observer) { secondary_observer_ = observer; }
 
-  // Attaches a wall-clock source (typically [&rt] { return rt.NowNanos(); }). Once
-  // set, every appended event is stamped with Event::wall_ns under the recorder lock,
-  // which lets the Perfetto exporter place the logical events on a real timeline.
-  // Must be set before writers start; events recorded earlier keep wall_ns == 0.
-  void SetClock(std::function<std::uint64_t()> clock) { clock_ = std::move(clock); }
-
   // Returns a copy of all events recorded so far.
   std::vector<Event> Snapshot() const;
 
@@ -88,7 +81,6 @@ class TraceRecorder {
   std::atomic<std::uint64_t> next_instance_{1};
   TraceObserver* observer_ = nullptr;
   TraceObserver* secondary_observer_ = nullptr;
-  std::function<std::uint64_t()> clock_;  // Optional wall-clock source for wall_ns.
 };
 
 // Records the phases of one operation execution.

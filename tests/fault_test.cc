@@ -25,8 +25,9 @@
 #include "syneval/runtime/os_runtime.h"
 #include "syneval/runtime/schedule.h"
 #include "syneval/sync/semaphore.h"
+#include "syneval/telemetry/flight_recorder.h"
 #include "syneval/telemetry/metrics.h"
-#include "syneval/telemetry/tracer.h"
+#include "syneval/telemetry/perfetto.h"
 #include "syneval/trace/recorder.h"
 
 namespace syneval {
@@ -334,8 +335,8 @@ TEST(FaultInjection, DroppedSignalStrandsWaiterAndDetectorFlagsIt) {
 
 TEST(FaultInjection, SpuriousWakeupIsAbsorbedAndNamedInTheTrace) {
   OneShotProtocol protocol(/*seed=*/3);
-  TelemetryTracer tracer;
-  protocol.rt.AttachTracer(&tracer);
+  FlightRecorder flight;
+  protocol.rt.AttachFlightRecorder(&flight);
   FaultInjector injector(MustParseFaultPlan("spurious-wakeup:nth=1", 1));
   protocol.rt.AttachFaultInjector(&injector);
 
@@ -344,14 +345,10 @@ TEST(FaultInjection, SpuriousWakeupIsAbsorbedAndNamedInTheTrace) {
   EXPECT_TRUE(protocol.consumer_done);
   EXPECT_EQ(injector.CountOf(FaultKind::kSpuriousWakeup), 1);
 #if SYNEVAL_TELEMETRY_ENABLED
-  bool traced = false;
-  for (const TelemetryTracer::Record& record : tracer.Snapshot()) {
-    if (record.type == TelemetryTracer::RecordType::kInstant &&
-        record.name == "fault.spurious-wakeup") {
-      traced = true;
-    }
-  }
-  EXPECT_TRUE(traced) << "injected fault not visible as a named trace event";
+  const std::string json = ExportChromeTrace({}, &flight, nullptr);
+  EXPECT_NE(json.find("\"name\":\"fault.spurious-wakeup\",\"cat\":\"fault\",\"ph\":\"i\""),
+            std::string::npos)
+      << "injected fault not visible as a named trace event:\n" << json;
 #endif
 }
 

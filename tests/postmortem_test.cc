@@ -361,6 +361,10 @@ TEST(PostmortemTest, DeadlockNarrativeNamesHoldWaitEdges) {
 
   const Postmortem pm = BuildPostmortem(recorder, &detector);
   EXPECT_EQ(pm.cause, "deadlock");
+  EXPECT_NE(pm.summary.find("deadlock"), std::string::npos);
+#if SYNEVAL_TELEMETRY_ENABLED
+  // The acquisition and block events come from the runtime's flight recording,
+  // which -DSYNEVAL_TELEMETRY=OFF compiles out.
   int hold_wait_edges = 0;
   for (const std::string& line : pm.narrative) {
     if (line.find("holds") != std::string::npos &&
@@ -371,7 +375,7 @@ TEST(PostmortemTest, DeadlockNarrativeNamesHoldWaitEdges) {
   }
   EXPECT_GE(hold_wait_edges, 2) << pm.ToText();
   EXPECT_FALSE(pm.window.empty());
-  EXPECT_NE(pm.summary.find("deadlock"), std::string::npos);
+#endif
 }
 
 TEST(PostmortemTest, ToJsonCarriesCauseNarrativeAndEvents) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -20,9 +21,10 @@
 #include "syneval/runtime/schedule.h"
 #include "syneval/runtime/supervisor.h"
 #include "syneval/sync/semaphore.h"
+#include "syneval/telemetry/flight_recorder.h"
 #include "syneval/telemetry/metrics.h"
 #include "syneval/telemetry/perfetto.h"
-#include "syneval/telemetry/tracer.h"
+#include "syneval/telemetry/postmortem.h"
 
 namespace syneval {
 namespace {
@@ -337,11 +339,21 @@ std::vector<Event> GoldenEvents() {
   return events;
 }
 
+// Counts the non-overlapping occurrences of `needle` in `haystack`.
+std::size_t CountOf(const std::string& haystack, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
 TEST(PerfettoExportTest, GoldenOutput) {
-  TelemetryTracer tracer;
+  FlightRecorder flight;
   int key = 0;
-  tracer.OnSignal(&key, 1, 2500, /*broadcast=*/false);
-  tracer.OnWake(&key, 2, 2600);
+  flight.Record(1, FlightEventType::kSignal, &key, 2500);
+  flight.Record(2, FlightEventType::kWake, &key, 2600, /*arg=*/1);
 
   const std::string golden =
       "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"generator\":\"syneval\"},"
@@ -366,21 +378,23 @@ TEST(PerfettoExportTest, GoldenOutput) {
       "  {\"name\":\"tick\",\"cat\":\"mark\",\"ph\":\"i\",\"pid\":1,\"tid\":0,"
       "\"ts\":3.500,\"s\":\"t\"}\n"
       "]}\n";
-  EXPECT_EQ(ExportChromeTrace(GoldenEvents(), &tracer), golden);
+  EXPECT_EQ(ExportChromeTrace(GoldenEvents(), &flight, nullptr), golden);
 }
 
 TEST(PerfettoExportTest, StructuralInvariants) {
-  TelemetryTracer tracer;
+  FlightRecorder flight;
   int key = 0;
-  tracer.OnSignal(&key, 1, 2500, /*broadcast=*/true);
-  tracer.OnWake(&key, 2, 2600);
-  tracer.OnWake(&key, 3, 2700);  // Broadcast: one flow start, two finishes.
-  tracer.AddSpan(4, "hold", "custom", 100, 900);
+  int unsignalled = 0;
+  flight.Record(1, FlightEventType::kBroadcast, &key, 2500);
+  flight.Record(2, FlightEventType::kWake, &key, 2600, /*arg=*/1);
+  flight.Record(3, FlightEventType::kWake, &key, 2700, /*arg=*/1);  // Broadcast fan-out.
+  flight.Record(4, FlightEventType::kWake, &key, 2800, /*arg=*/0);  // Deadline wake.
+  flight.Record(5, FlightEventType::kWake, &unsignalled, 2900, /*arg=*/1);  // No flow open.
 
   ChromeTraceOptions options;
   options.pid = 7;
   options.process_name = "bench \"quoted\"";
-  const std::string json = ExportChromeTrace(GoldenEvents(), &tracer, options);
+  const std::string json = ExportChromeTrace(GoldenEvents(), &flight, nullptr, options);
 
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ns\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\":7"), std::string::npos);
@@ -392,19 +406,32 @@ TEST(PerfettoExportTest, StructuralInvariants) {
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"broadcast\""), std::string::npos);
   EXPECT_NE(json.find("bench \\\"quoted\\\""), std::string::npos);
-  // Both wakeups share the broadcast's flow id: three "id":1 records total.
-  std::size_t id_refs = 0;
-  for (std::size_t pos = json.find("\"id\":1"); pos != std::string::npos;
-       pos = json.find("\"id\":1", pos + 1)) {
-    ++id_refs;
-  }
-  EXPECT_EQ(id_refs, 3u);
-  std::size_t flow_ends = 0;
-  for (std::size_t pos = json.find("\"ph\":\"f\""); pos != std::string::npos;
-       pos = json.find("\"ph\":\"f\"", pos + 1)) {
-    ++flow_ends;
-  }
-  EXPECT_EQ(flow_ends, 2u);
+  // Both notified wakeups share the broadcast's flow id: three "id":1 records total.
+  // The deadline wake and the wake on a resource no signal touched draw nothing.
+  EXPECT_EQ(CountOf(json, "\"id\":1"), 3u);
+  EXPECT_EQ(CountOf(json, "\"ph\":\"f\""), 2u);
+}
+
+TEST(PerfettoExportTest, PostmortemOverlaysSpanAndInstants) {
+  Postmortem postmortem;
+  postmortem.cause = "lost-wakeup";
+  postmortem.window = {{1, 5000, 1, "signal", "cond", 0},
+                       {2, 5000, 2, "block", "cond", 0},
+                       {3, 5000, 2, "wake", "mutex", 0}};
+
+  const std::string json = ExportChromeTrace(GoldenEvents(), nullptr, &postmortem);
+  // A window whose first and last stamps are equal still spans one nanosecond.
+  EXPECT_EQ(CountOf(json, "{\"name\":\"postmortem: lost-wakeup\",\"cat\":\"postmortem\","
+                          "\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":5.000,\"dur\":0.001}"),
+            1u)
+      << json;
+  EXPECT_EQ(CountOf(json, "\"cat\":\"postmortem\",\"ph\":\"i\""), 3u);
+  EXPECT_EQ(CountOf(json, "{\"name\":\"signal cond\",\"cat\":\"postmortem\""), 1u);
+  EXPECT_EQ(CountOf(json, "{\"name\":\"block cond\",\"cat\":\"postmortem\""), 1u);
+  EXPECT_EQ(CountOf(json, "{\"name\":\"wake mutex\",\"cat\":\"postmortem\""), 1u);
+
+  const std::string bare = ExportChromeTrace(GoldenEvents(), nullptr, nullptr);
+  EXPECT_EQ(bare.find("\"cat\":\"postmortem\""), std::string::npos);
 }
 
 TEST(PerfettoExportTest, LogicalTracesFallBackToSeqTimestamps) {
@@ -412,7 +439,7 @@ TEST(PerfettoExportTest, LogicalTracesFallBackToSeqTimestamps) {
   for (Event& event : events) {
     event.wall_ns = 0;  // Pure deterministic trace.
   }
-  const std::string json = ExportChromeTrace(events, nullptr);
+  const std::string json = ExportChromeTrace(events, nullptr, nullptr);
   // seq * 1000 ns → seq microseconds: the request (seq 1) lands at ts 1.000.
   EXPECT_NE(json.find("\"ts\":1.000"), std::string::npos);
   EXPECT_NE(json.find("\"ts\":4.000"), std::string::npos);
@@ -420,12 +447,12 @@ TEST(PerfettoExportTest, LogicalTracesFallBackToSeqTimestamps) {
 
 TEST(PerfettoExportTest, WriteChromeTraceRoundTrips) {
   const std::string path = ::testing::TempDir() + "/syneval_trace_test.json";
-  ASSERT_TRUE(WriteChromeTrace(path, GoldenEvents(), nullptr));
+  ASSERT_TRUE(WriteChromeTrace(path, GoldenEvents(), nullptr, nullptr));
   std::ifstream file(path);
   ASSERT_TRUE(file.good());
   std::stringstream buffer;
   buffer << file.rdbuf();
-  EXPECT_EQ(buffer.str(), ExportChromeTrace(GoldenEvents(), nullptr));
+  EXPECT_EQ(buffer.str(), ExportChromeTrace(GoldenEvents(), nullptr, nullptr));
   std::remove(path.c_str());
 }
 
@@ -461,12 +488,12 @@ TEST(MechanismTelemetryTest, SemaphoreReportsWaitHoldAndSignals) {
   EXPECT_EQ(stats->hold.Count(), 2u * kOps);   // Every V retires one unit tenure.
 }
 
-TEST(MechanismTelemetryTest, DetRuntimeMonitorRecordsIntoRegistryAndTracer) {
+TEST(MechanismTelemetryTest, DetRuntimeMonitorRecordsIntoRegistryAndFlightFlows) {
   MetricsRegistry registry;
-  TelemetryTracer tracer;
+  FlightRecorder flight;
   DetRuntime rt(MakeRandomSchedule(42));
   rt.AttachMetrics(&registry);
-  rt.AttachTracer(&tracer);
+  rt.AttachFlightRecorder(&flight);
 
   MesaMonitor monitor(rt);
   MesaMonitor::Condition nonempty(monitor);
@@ -499,14 +526,29 @@ TEST(MechanismTelemetryTest, DetRuntimeMonitorRecordsIntoRegistryAndTracer) {
   EXPECT_GE(stats->admissions.Value(), 2u);  // Both bodies entered the monitor.
   EXPECT_EQ(stats->signals.Value(), 1u);
   EXPECT_GE(stats->hold.Count(), 2u);
-  // The condvar-level signal→wakeup flow was traced by the deterministic runtime.
-  bool saw_flow_start = false, saw_flow_end = false;
-  for (const TelemetryTracer::Record& record : tracer.Snapshot()) {
-    saw_flow_start |= record.type == TelemetryTracer::RecordType::kFlowStart;
-    saw_flow_end |= record.type == TelemetryTracer::RecordType::kFlowEnd;
+  // The deterministic runtime's condvar-level signal and the wakeup it caused export
+  // as a flow start and a flow finish sharing one id.
+  const std::string json = ExportChromeTrace({}, &flight, nullptr);
+  std::set<std::string> start_ids, end_ids;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t id = line.find("\"id\":");
+    if (id == std::string::npos) {
+      continue;
+    }
+    const std::string value = line.substr(id + 5, line.find_first_of(",}", id) - id - 5);
+    if (line.find("\"ph\":\"s\"") != std::string::npos) {
+      start_ids.insert(value);
+    } else if (line.find("\"ph\":\"f\"") != std::string::npos) {
+      end_ids.insert(value);
+    }
   }
-  EXPECT_TRUE(saw_flow_start);
-  EXPECT_TRUE(saw_flow_end);
+  EXPECT_FALSE(start_ids.empty()) << json;
+  bool paired = false;
+  for (const std::string& id : end_ids) {
+    paired |= start_ids.count(id) > 0;
+  }
+  EXPECT_TRUE(paired) << json;
 }
 
 // ---- Watchdog gauge export --------------------------------------------------------------
